@@ -1,8 +1,7 @@
 """Conditional spatiotemporal transformer for incident-aware traffic
 forecasting, with a self-contained autodiff substrate."""
 
-from .attention import (AttentionConfig, conditional_qkv, fuse,
-                        spatial_attention, temporal_attention)
+from .attention import conditional_qkv, fuse, spatial_attention, temporal_attention
 from .conditioning import (ConditionFactors, FactorGenerator, compute_condition,
                            expanded_score_identity, expanded_score_terms,
                            generate_factors, gln, modulated_residual)

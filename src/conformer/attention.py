@@ -3,27 +3,10 @@ augmentation and MLP fusion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, DimensionError
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    n_heads: int
-    d_head: int
-    cond_width: int
-
-    def __post_init__(self):
-        if self.n_heads < 1 or self.d_head < 1:
-            raise ConfigError(f"n_heads and d_head must be >= 1, got {self}")
-
-    @property
-    def d_model(self) -> int:
-        return self.n_heads * self.d_head
+from .errors import DimensionError
 
 
 class AttentionProjections:

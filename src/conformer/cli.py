@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -14,10 +15,10 @@ from .data import (DatasetBundle, NormalizationStats, SynthConfig, Window,
                    chronological_split, load_dataset, save_dataset,
                    synth_generate)
 from .errors import ConformerError
-from .model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
-                    init_params, load_checkpoint, save_checkpoint)
+from .model import (ABLATIONS, ConFormerConfig, estimate_flops, load_checkpoint,
+                    param_spec, save_checkpoint)
 from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
-                      make_windows, predict_windows, train, write_history_csv)
+                      predict_windows, train, write_history_csv)
 
 SECTIONS = ("model", "train", "synth")
 
@@ -138,14 +139,9 @@ def cmd_predict(args) -> int:
     if not 0 <= t0 <= bundle.n_steps - cfg.t_in:
         raise ConformerError(
             f"--at {t0} leaves no full input window in [0, {bundle.n_steps})")
-    windows = make_windows(bundle, (t0, min(bundle.n_steps, t0 + cfg.t_in + cfg.t_out)),
-                           cfg.t_in, cfg.t_out)
-    if windows and windows[0].t0 == t0:
-        window = windows[0]
-    else:
-        # horizon may run past the end of the data; predict without targets
-        window = Window(x=bundle.values[t0:t0 + cfg.t_in],
-                        y=np.zeros((cfg.t_out, bundle.n_nodes)), t0=t0)
+    # The horizon may run past the end of the data; predict reads no targets.
+    window = Window(x=bundle.values[t0:t0 + cfg.t_in],
+                    y=np.zeros((cfg.t_out, bundle.n_nodes)), t0=t0)
     preds = predict_windows(params, bundle, [window], stats)[0, :, :, 0]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.csv")
@@ -166,7 +162,7 @@ def cmd_flops(args) -> int:
     if n_edges is None:
         raise ConformerError("flops needs --edges N or --data DIR for the edge count")
     flops = estimate_flops(cfg, n_edges)
-    n_params = count_params(init_params(cfg, seed=0))
+    n_params = sum(math.prod(shape) for _, shape, _ in param_spec(cfg))
     print(f"flops={flops} params={n_params}")
     return 0
 

@@ -10,9 +10,6 @@ import numpy as np
 from . import numerics as nm
 from .errors import ValidationError
 
-# Concatenation order of the fused embedding. Fixed; tests pin it.
-BLOCK_ORDER = ("data", "acc", "reg", "dow", "tod", "adaptive")
-
 
 @dataclass(frozen=True)
 class CalendarIndexer:
@@ -48,10 +45,13 @@ def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:
     return dow, tod
 
 
-def time_indices(t0: int, horizon: int, cal: CalendarIndexer) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``index_time`` for steps ``t0 .. t0+horizon-1``."""
-    steps = np.arange(t0, t0 + horizon)
-    total = cal.start_slot + steps
+def time_indices(t0, horizon: int, cal: CalendarIndexer) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``index_time`` for steps ``t0 .. t0+horizon-1``.
+
+    ``t0`` is one start step or an array of them; both results have shape
+    ``np.shape(t0) + (horizon,)``.
+    """
+    total = cal.start_slot + np.asarray(t0, dtype=np.int64)[..., None] + np.arange(horizon)
     tod = total % cal.steps_per_day
     dow = (cal.start_weekday + total // cal.steps_per_day) % 7
     return dow.astype(np.int64), tod.astype(np.int64)
@@ -114,18 +114,11 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
         raise ValidationError(
             f"t0 must be scalar or one per batch element, got {len(t0s)} "
             f"for batch {x.shape[0]}")
-    dow = np.empty((len(t0s), t_len), dtype=np.int64)
-    tod = np.empty((len(t0s), t_len), dtype=np.int64)
-    for i, start in enumerate(t0s):
-        dow[i], tod[i] = time_indices(int(start), t_len, tables.cal)
-    # Per-timestep calendar rows broadcast over the node axis.
-    dow = np.repeat(dow[:, :, None], n_nodes, axis=2)
-    tod = np.repeat(tod[:, :, None], n_nodes, axis=2)
-    if not batched:
-        dow, tod = dow[0], tod[0]
-    elif len(t0s) == 1:
-        dow = np.repeat(dow, x.shape[0], axis=0)
-        tod = np.repeat(tod, x.shape[0], axis=0)
+    dow, tod = time_indices(t0s if batched else t0s[0], t_len, tables.cal)
+    # Per-timestep calendar rows broadcast over the node axis (and over the
+    # batch when one start is shared).
+    dow = np.broadcast_to(dow[..., None], lead)
+    tod = np.broadcast_to(tod[..., None], lead)
 
     x_data = nm.matmul(x, tables.data_w) + tables.data_b
     x_acc = nm.gather_rows(tables.acc_table, acc_ids)

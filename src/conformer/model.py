@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field, asdict
@@ -54,13 +55,15 @@ class ConFormerConfig:
     ablations: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if min(self.t_in, self.t_out, self.n_nodes) < 1:
-            raise ConfigError("t_in, t_out and n_nodes must all be >= 1")
+        if min(self.t_in, self.t_out, self.n_nodes, self.d_model, self.n_heads) < 1:
+            raise ConfigError("t_in, t_out, n_nodes, d_model and n_heads must all be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.k_hops < 0:
             raise ConfigError(f"k_hops must be >= 0, got {self.k_hops}")
+        if self.n_layers < 0:
+            raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         unknown = set(self.ablations) - set(ABLATIONS)
@@ -100,11 +103,7 @@ class ConFormerConfig:
 
 
 class ConFormerParams:
-    """All learnable arrays, keyed by stable names in a fixed enumeration.
-
-    The enumeration order is construction order and is the contract for
-    parameter counting, gradient records, and checkpoint layout.
-    """
+    """All learnable arrays, keyed by name in ``param_spec`` order."""
 
     def __init__(self, cfg: ConFormerConfig, arrays: "OrderedDict[str, nm.Tensor]"):
         self.cfg = cfg
@@ -135,58 +134,61 @@ class ConFormerParams:
         return EmbeddingTables(self.arrays, self.cfg.calendar())
 
 
-def _affine(rng: np.random.Generator, n_in: int, n_out: int):
-    bound = 1.0 / np.sqrt(n_in)
-    w = rng.uniform(-bound, bound, size=(n_in, n_out))
-    b = rng.uniform(-bound, bound, size=(n_out,))
-    return w, b
+def param_spec(cfg: ConFormerConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+    """Every learnable array as ``(name, shape, init)``, in enumeration order.
+
+    ``init`` is a uniform bound ``s`` (drawn from ``U(-s, s)``), ``"zeros"``
+    or ``"ones"``. The order is the contract for initialization draws,
+    parameter counting, gradient records and checkpoint layout.
+    """
+    d, c = cfg.d_model, cfg.cond_width
+    spec: list[tuple[str, tuple[int, ...], float | str]] = []
+
+    def affine(w: str, b: str, n_in: int, n_out: int) -> None:
+        bound = 1.0 / np.sqrt(n_in)
+        spec.extend([(w, (n_in, n_out), bound), (b, (n_out,), bound)])
+
+    affine("embed.data_proj.w", "embed.data_proj.b", cfg.d_in, cfg.d_data)
+    spec.extend([("embed.acc_table", (cfg.n_acc_codes, cfg.d_acc), 0.1),
+                 ("embed.reg_table", (cfg.n_reg_codes, cfg.d_reg), 0.1),
+                 ("embed.dow_table", (7, cfg.d_dow), 0.1),
+                 ("embed.tod_table", (cfg.steps_per_day, cfg.d_tod), 0.1),
+                 ("embed.adaptive", (cfg.t_in, cfg.n_nodes, cfg.d_stae), 0.1)])
+    affine("embed.fuse.w", "embed.fuse.b", cfg.embed_width, d)
+
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        for gen in ("gen_c", "gen_f"):
+            affine(f"{p}{gen}.hidden.w", f"{p}{gen}.hidden.b", c, d)
+            spec.extend([(f"{p}{gen}.out.w", (d, 2 * d + 1), "zeros"),
+                         (f"{p}{gen}.out.b", (2 * d + 1,), "zeros")])
+        for w, b, n_in, n_out in (("attn.wq", "attn.bq", d, d),
+                                  ("attn.wk", "attn.bk", d + c, d),
+                                  ("attn.wv", "attn.bv", d + c, d),
+                                  ("attn.fuse.w", "attn.fuse.b", 2 * d, d),
+                                  ("ff.w1", "ff.b1", d, 4 * d),
+                                  ("ff.w2", "ff.b2", 4 * d, d)):
+            affine(p + w, p + b, n_in, n_out)
+        if cfg.ablated("plain-ln"):
+            for ln in ("ln1", "ln2"):
+                spec.extend([(f"{p}{ln}.gamma", (d,), "ones"),
+                             (f"{p}{ln}.beta", (d,), "zeros")])
+
+    affine("readout.w", "readout.b", cfg.t_in * d, cfg.t_out)
+    return spec
+
+
+_FILLS = {"zeros": np.zeros, "ones": np.ones}
 
 
 def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
     """Fresh parameters; generator output heads start at exactly zero."""
     rng = np.random.default_rng(seed)
-    d, c = cfg.d_model, cfg.cond_width
-    arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-
-    w, b = _affine(rng, cfg.d_in, cfg.d_data)
-    arrays["embed.data_proj.w"], arrays["embed.data_proj.b"] = w, b
-    arrays["embed.acc_table"] = rng.uniform(-0.1, 0.1, (cfg.n_acc_codes, cfg.d_acc))
-    arrays["embed.reg_table"] = rng.uniform(-0.1, 0.1, (cfg.n_reg_codes, cfg.d_reg))
-    arrays["embed.dow_table"] = rng.uniform(-0.1, 0.1, (7, cfg.d_dow))
-    arrays["embed.tod_table"] = rng.uniform(-0.1, 0.1, (cfg.steps_per_day, cfg.d_tod))
-    arrays["embed.adaptive"] = rng.uniform(-0.1, 0.1, (cfg.t_in, cfg.n_nodes, cfg.d_stae))
-    w, b = _affine(rng, cfg.embed_width, d)
-    arrays["embed.fuse.w"], arrays["embed.fuse.b"] = w, b
-
-    for i in range(cfg.n_layers):
-        for gen in ("gen_c", "gen_f"):
-            w, b = _affine(rng, c, d)
-            arrays[f"layer{i}.{gen}.hidden.w"], arrays[f"layer{i}.{gen}.hidden.b"] = w, b
-            arrays[f"layer{i}.{gen}.out.w"] = np.zeros((d, 2 * d + 1))
-            arrays[f"layer{i}.{gen}.out.b"] = np.zeros((2 * d + 1,))
-        w, b = _affine(rng, d, d)
-        arrays[f"layer{i}.attn.wq"], arrays[f"layer{i}.attn.bq"] = w, b
-        w, b = _affine(rng, d + c, d)
-        arrays[f"layer{i}.attn.wk"], arrays[f"layer{i}.attn.bk"] = w, b
-        w, b = _affine(rng, d + c, d)
-        arrays[f"layer{i}.attn.wv"], arrays[f"layer{i}.attn.bv"] = w, b
-        w, b = _affine(rng, 2 * d, d)
-        arrays[f"layer{i}.attn.fuse.w"], arrays[f"layer{i}.attn.fuse.b"] = w, b
-        w, b = _affine(rng, d, 4 * d)
-        arrays[f"layer{i}.ff.w1"], arrays[f"layer{i}.ff.b1"] = w, b
-        w, b = _affine(rng, 4 * d, d)
-        arrays[f"layer{i}.ff.w2"], arrays[f"layer{i}.ff.b2"] = w, b
-        if cfg.ablated("plain-ln"):
-            arrays[f"layer{i}.ln1.gamma"] = np.ones((d,))
-            arrays[f"layer{i}.ln1.beta"] = np.zeros((d,))
-            arrays[f"layer{i}.ln2.gamma"] = np.ones((d,))
-            arrays[f"layer{i}.ln2.beta"] = np.zeros((d,))
-
-    w, b = _affine(rng, cfg.t_in * d, cfg.t_out)
-    arrays["readout.w"], arrays["readout.b"] = w, b
-
-    tensors = OrderedDict((k, nm.Tensor(v)) for k, v in arrays.items())
-    return ConFormerParams(cfg, tensors)
+    arrays = OrderedDict(
+        (name, nm.Tensor(_FILLS[init](shape) if init in _FILLS
+                         else rng.uniform(-init, init, shape)))
+        for name, shape, init in param_spec(cfg))
+    return ConFormerParams(cfg, arrays)
 
 
 def count_params(params: ConFormerParams) -> int:
@@ -209,8 +211,14 @@ def _dropout(x: nm.Tensor, rate: float, rng: np.random.Generator | None) -> nm.T
     return x * nm.Tensor(mask)
 
 
-def _apply_factors(cfg: ConFormerConfig, f: ConditionFactors) -> ConditionFactors:
-    """Rewrite the factor triplet according to active ablation flags."""
+def _ablate(cfg: ConFormerConfig, params: ConFormerParams, ln: str,
+           f: ConditionFactors) -> ConditionFactors:
+    """The factors one GLN and its residual gate use under the active flags.
+
+    ``no-gamma``/``no-beta``/``no-alpha`` pin a generated factor to its
+    neutral value; ``plain-ln`` then swaps in the static ``ln`` parameters
+    (prefix like ``layer0.ln1``) for gamma and beta, keeping alpha.
+    """
     gamma, beta, alpha = f.gamma, f.beta, f.alpha
     if cfg.ablated("no-gamma"):
         gamma = nm.Tensor(np.ones(gamma.shape))
@@ -218,18 +226,9 @@ def _apply_factors(cfg: ConFormerConfig, f: ConditionFactors) -> ConditionFactor
         beta = nm.Tensor(np.zeros(beta.shape))
     if cfg.ablated("no-alpha"):
         alpha = nm.Tensor(np.ones(alpha.shape))
-    return ConditionFactors(gamma=gamma, beta=beta, alpha=alpha)
-
-
-def _norm(cfg: ConFormerConfig, params: ConFormerParams, layer: int, which: int,
-          x: nm.Tensor, f: ConditionFactors) -> nm.Tensor:
     if cfg.ablated("plain-ln"):
-        static = ConditionFactors(
-            gamma=params[f"layer{layer}.ln{which}.gamma"],
-            beta=params[f"layer{layer}.ln{which}.beta"],
-            alpha=f.alpha)
-        return gln(x, static, cfg.eps)
-    return gln(x, f, cfg.eps)
+        gamma, beta = params[f"{ln}.gamma"], params[f"{ln}.beta"]
+    return ConditionFactors(gamma=gamma, beta=beta, alpha=alpha)
 
 
 def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
@@ -267,20 +266,21 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
         x_c = compute_condition(h, op, cfg.k_hops)
         gen_c = FactorGenerator(params.arrays, f"layer{i}.gen_c", cfg.d_model)
         gen_f = FactorGenerator(params.arrays, f"layer{i}.gen_f", cfg.d_model)
-        f_c = _apply_factors(cfg, generate_factors(x_c, gen_c))
-        f_f = _apply_factors(cfg, generate_factors(x_c, gen_f))
+        f_c = _ablate(cfg, params, f"layer{i}.ln1", generate_factors(x_c, gen_c))
+        f_f = _ablate(cfg, params, f"layer{i}.ln2", generate_factors(x_c, gen_f))
 
-        x_gln = _norm(cfg, params, i, 1, h, f_c)
+        x_gln = gln(h, f_c, cfg.eps)
         proj = AttentionProjections(params.arrays, f"layer{i}.attn")
         q, k, v = conditional_qkv(x_gln, x_c, proj)
-        zeros = nm.Tensor(np.zeros(q.shape))
-        x_sp = zeros if cfg.ablated("no-spatial") else spatial_attention(q, k, v, cfg.n_heads)
-        x_te = zeros if cfg.ablated("no-temporal") else temporal_attention(q, k, v, cfg.n_heads)
+        x_sp = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-spatial")
+                else spatial_attention(q, k, v, cfg.n_heads))
+        x_te = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-temporal")
+                else temporal_attention(q, k, v, cfg.n_heads))
         x_att = fuse(x_sp, x_te, proj.fuse_w, proj.fuse_b)
         x_att = _dropout(x_att, cfg.dropout, dropout_rng)
         x_res = modulated_residual(h, x_att, f_c.alpha)
 
-        x_gln2 = _norm(cfg, params, i, 2, x_res, f_f)
+        x_gln2 = gln(x_res, f_f, cfg.eps)
         hidden = nm.gelu(nm.matmul(x_gln2, params[f"layer{i}.ff.w1"])
                          + params[f"layer{i}.ff.b1"])
         x_ff = nm.matmul(hidden, params[f"layer{i}.ff.w2"]) + params[f"layer{i}.ff.b2"]
@@ -325,30 +325,33 @@ def save_checkpoint(path, params: ConFormerParams, extra: dict | None = None) ->
 
 
 def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
-    """Inverse of ``save_checkpoint``; validates shapes against the header."""
+    """Inverse of ``save_checkpoint``; validates the header against ``param_spec``."""
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
     if buf.read(len(_MAGIC)) != _MAGIC:
         raise LoadError(f"{path}: not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack("<Q", buf.read(8))
+    size = buf.read(8)
+    if len(size) != 8:
+        raise LoadError(f"{path}: truncated header length")
+    (header_len,) = struct.unpack("<Q", size)
     try:
         header = json.loads(buf.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise LoadError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    cfg = ConFormerConfig.from_dict(header["config"])
+        cfg = ConFormerConfig.from_dict(header["config"])
+        listed = header["params"]
+        extra = header.get("extra", {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LoadError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+    spec = param_spec(cfg)
+    if listed != [[name, list(shape)] for name, shape, _ in spec]:
+        raise LoadError(f"{path}: parameter enumeration does not match config")
     arrays: "OrderedDict[str, nm.Tensor]" = OrderedDict()
-    for name, shape in header["params"]:
-        shape = tuple(int(s) for s in shape)
-        n = int(np.prod(shape)) if shape else 1
+    for name, shape, _ in spec:
+        n = math.prod(shape)
         raw = buf.read(8 * n)
         if len(raw) != 8 * n:
             raise LoadError(f"{path}: truncated data for parameter '{name}'")
         arrays[name] = nm.Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape))
     if buf.read(1):
         raise LoadError(f"{path}: trailing bytes after parameter data")
-    params = ConFormerParams(cfg, arrays)
-    expected = [(name, t.shape) for name, t in init_params(cfg, seed=0).entries()]
-    if [(name, t.shape) for name, t in params.entries()] != expected:
-        raise LoadError(f"{path}: parameter enumeration does not match config")
-    return params, header.get("extra", {})
+    return ConFormerParams(cfg, arrays), extra

@@ -130,19 +130,13 @@ def masked_mae_loss(pred: nm.Tensor, target: np.ndarray,
     return nm.tsum(err * nm.Tensor(mask)) * (1.0 / n_valid)
 
 
-def _window_ids(bundle: DatasetBundle, t0s, t_in: int):
-    acc = np.stack([bundle.acc_ids[t0:t0 + t_in] for t0 in t0s])
-    reg = np.stack([bundle.reg_ids[t0:t0 + t_in] for t0 in t0s])
-    return acc, reg
-
-
-def _batch_inputs(bundle: DatasetBundle, windows: list[Window], idx: np.ndarray,
-                  stats: NormalizationStats):
-    t0s = [windows[i].t0 for i in idx]
-    x = np.stack([stats.apply(windows[i].x) for i in idx])[..., None]
-    y = np.stack([windows[i].y for i in idx])[..., None]
-    acc, reg = _window_ids(bundle, t0s, x.shape[1])
-    return x, y, acc, reg, np.asarray(t0s)
+def _gather(bundle: DatasetBundle, t0s: np.ndarray, t_in: int,
+            stats: NormalizationStats):
+    """Normalized inputs ``[B, T, N, 1]`` and id blocks ``[B, T, N]`` of the
+    windows starting at ``t0s``."""
+    steps = t0s[:, None] + np.arange(t_in)
+    x = stats.apply(bundle.values[steps])[..., None]
+    return x, bundle.acc_ids[steps], bundle.reg_ids[steps]
 
 
 def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
@@ -151,14 +145,13 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     """Denormalized forecasts for a list of windows, shape [W, T', N, 1]."""
     cfg = params.cfg
     op = normalize_adjacency(bundle.graph)
-    out = []
     n_workers = max(1, int(os.environ.get("CONFORMER_THREADS", "1")))
-    batches = [np.arange(i, min(i + batch_size, len(windows)))
-               for i in range(0, len(windows), batch_size)]
+    t0s = np.array([w.t0 for w in windows], dtype=np.int64)
+    batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
 
-    def run(idx: np.ndarray) -> np.ndarray:
-        x, _, acc, reg, t0s = _batch_inputs(bundle, windows, idx, stats)
-        pred = forward(x, acc, reg, t0s, op, params, cfg)
+    def run(starts: np.ndarray) -> np.ndarray:
+        x, acc, reg = _gather(bundle, starts, cfg.t_in, stats)
+        pred = forward(x, acc, reg, starts, op, params, cfg)
         return stats.invert(pred.data)
 
     if n_workers > 1 and len(batches) > 1:
@@ -166,7 +159,7 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             out = list(pool.map(run, batches))
     else:
-        out = [run(idx) for idx in batches]
+        out = [run(starts) for starts in batches]
     return np.concatenate(out, axis=0) if out else np.zeros((0, cfg.t_out, cfg.n_nodes, 1))
 
 
@@ -195,27 +188,30 @@ def evaluate_forecasts(y_true: np.ndarray, y_pred: np.ndarray,
     return table
 
 
+def _split_windows(bundle: DatasetBundle, split: SplitSpec, split_name: str,
+                   t_in: int, t_out: int) -> tuple[list[Window], np.ndarray]:
+    """The windows of one split and their targets ``[W, T', N, 1]``."""
+    windows = make_windows(bundle, split.range_for(split_name), t_in, t_out)
+    if not windows:
+        raise ConfigError(f"split '{split_name}' too short for T={t_in}, T'={t_out}")
+    return windows, np.stack([w.y for w in windows])[..., None]
+
+
 def evaluate(params: ConFormerParams, bundle: DatasetBundle, split: SplitSpec,
              split_name: str, horizons: list[int], stats: NormalizationStats,
              batch_size: int = 64) -> dict[str, MaskedMetrics]:
     """Metrics table for the trained model on one split, original units."""
     cfg = params.cfg
-    windows = make_windows(bundle, split.range_for(split_name), cfg.t_in, cfg.t_out)
-    if not windows:
-        raise ConfigError(f"split '{split_name}' too short for T={cfg.t_in}, "
-                          f"T'={cfg.t_out}")
+    windows, y_true = _split_windows(bundle, split, split_name, cfg.t_in, cfg.t_out)
     preds = predict_windows(params, bundle, windows, stats, batch_size)
-    y_true = np.stack([w.y for w in windows])[..., None]
     return evaluate_forecasts(y_true, preds, horizons)
 
 
 def evaluate_historical_inertia(bundle: DatasetBundle, split: SplitSpec,
                                 split_name: str, t_in: int, t_out: int,
                                 horizons: list[int]) -> dict[str, MaskedMetrics]:
-    windows = make_windows(bundle, split.range_for(split_name), t_in, t_out)
-    preds = historical_inertia(windows, t_out)
-    y_true = np.stack([w.y for w in windows])[..., None]
-    return evaluate_forecasts(y_true, preds, horizons)
+    windows, y_true = _split_windows(bundle, split, split_name, t_in, t_out)
+    return evaluate_forecasts(y_true, historical_inertia(windows, t_out), horizons)
 
 
 def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
@@ -236,6 +232,8 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
 
     lo, hi = split.train
     stats = fit_normalization(bundle.values[lo:hi])
+    train_t0s = np.array([w.t0 for w in train_windows], dtype=np.int64)
+    target_offsets = cfg.t_in + np.arange(cfg.t_out)
     op = normalize_adjacency(bundle.graph)
 
     seeds = np.random.SeedSequence(tcfg.seed).spawn(3)
@@ -254,8 +252,9 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
         order = shuffle_rng.permutation(len(train_windows))
         epoch_losses = []
         for start in range(0, len(order), tcfg.batch_size):
-            idx = order[start:start + tcfg.batch_size]
-            x, y, acc, reg, t0s = _batch_inputs(bundle, train_windows, idx, stats)
+            t0s = train_t0s[order[start:start + tcfg.batch_size]]
+            x, acc, reg = _gather(bundle, t0s, cfg.t_in, stats)
+            y = bundle.values[t0s[:, None] + target_offsets][..., None]
             pred = forward(x, acc, reg, t0s, op, params, cfg,
                            dropout_rng=dropout_rng if cfg.dropout > 0 else None)
             loss = masked_mae_loss(pred, y, stats)

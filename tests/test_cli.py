@@ -158,7 +158,12 @@ class TestEvaluatePredictFlops:
         assert main(["flops", "--config", str(path), "--edges", "10"]) == 0
         out = capsys.readouterr().out
         assert "flops=296" in out
-        assert "params=" in out
+        assert "params=3332" in out
 
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1
+
+    def test_hi_split_too_short(self, tmp_path, tiny_config, capsys):
+        data = synth_dir(tmp_path, tiny_config)
+        assert main(["hi", "--data", data, "--t-in", "2000"]) == 1
+        assert "split 'test' too short" in capsys.readouterr().err

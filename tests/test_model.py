@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,8 +10,8 @@ from conformer.embeddings import embed_all
 from conformer.errors import ConfigError, DimensionError, LoadError
 from conformer.graph import GraphSpec
 from conformer.model import (ConFormerConfig, count_params, estimate_flops,
-                             forward, init_params, load_checkpoint, readout,
-                             save_checkpoint)
+                             forward, init_params, load_checkpoint, param_spec,
+                             readout, save_checkpoint)
 
 
 def tiny_cfg(**kw):
@@ -31,8 +35,10 @@ def tiny_inputs(cfg, seed=0):
 
 class TestConfig:
     def test_heads_must_divide(self):
-        with pytest.raises(ConfigError):
-            tiny_cfg(d_model=10, n_heads=4)
+        for bad in (dict(d_model=10, n_heads=4), dict(n_heads=0), dict(n_heads=-4),
+                    dict(d_model=0), dict(n_layers=-1)):
+            with pytest.raises(ConfigError):
+                tiny_cfg(**bad)
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ConfigError):
@@ -191,6 +197,27 @@ class TestCounting:
         assert count_params(init_params(cfg, seed=0)) == 45134
 
 
+class TestParamSpec:
+    def test_spec_matches_init_params(self):
+        flags = ("no-accident", "no-regulation", "no-alpha", "no-beta", "no-gamma",
+                 "no-spatial", "no-temporal", "plain-ln")
+        for cfg in [tiny_cfg(n_layers=2)] + [tiny_cfg(ablations=(f,)) for f in flags]:
+            spec = [(name, shape) for name, shape, _ in param_spec(cfg)]
+            drawn = [(name, t.shape) for name, t in init_params(cfg, seed=0).entries()]
+            assert spec == drawn, cfg.ablations
+
+    def test_golden_init_digest(self):
+        # pins init names, order, draws and values (recorded with numpy 2.4.6)
+        cfg = ConFormerConfig(t_in=12, t_out=12, n_nodes=30, steps_per_day=288,
+                              n_acc_codes=3, n_reg_codes=2)
+        h = hashlib.sha256()
+        for name, t in init_params(cfg, seed=0).entries():
+            h.update(name.encode())
+            h.update(t.data.tobytes())
+        assert h.hexdigest() == (
+            "84d9716cc3d6e21cbe12d81f9def9452266f7be99e3fa885818c3f4129a4e98d")
+
+
 class TestFlops:
     def test_worked_example_296(self):
         cfg = tiny_cfg(t_in=2, n_nodes=3, d_model=4, k_hops=2, n_heads=1)
@@ -233,9 +260,16 @@ class TestCheckpoint:
         path = tmp_path / "c.cfmr"
         save_checkpoint(path, init_params(cfg, seed=0))
         raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(LoadError, match="truncated"):
-            load_checkpoint(path)
+        # cut inside the parameter data, then twice inside the length field
+        for cut in (raw[:-16], raw[:8], raw[:12]):
+            path.write_bytes(cut)
+            with pytest.raises(LoadError, match=f"{path.name}.*truncated"):
+                load_checkpoint(path)
+        for header in ({"params": []}, {"config": cfg.to_dict()}):
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+            with pytest.raises(LoadError, match=f"{path.name}.*corrupt"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.cfmr"
