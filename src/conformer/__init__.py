@@ -6,7 +6,7 @@ from .conditioning import (ConditionFactors, FactorGenerator, compute_condition,
                            expanded_score_identity, expanded_score_terms,
                            generate_factors, gln, modulated_residual)
 from .data import (DatasetBundle, MaskedMetrics, NormalizationStats, SplitSpec,
-                   SynthConfig, Window, chronological_split, fit_normalization,
+                   SynthConfig, chronological_split, fit_normalization,
                    load_dataset, make_windows, masked_metrics, save_dataset,
                    synth_generate)
 from .embeddings import CalendarIndexer, EmbeddingTables, embed_all, index_time

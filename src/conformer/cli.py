@@ -9,9 +9,7 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from .data import (DatasetBundle, NormalizationStats, SynthConfig, Window,
+from .data import (DatasetBundle, NormalizationStats, SynthConfig,
                    chronological_split, load_dataset, save_dataset,
                    synth_generate)
 from .errors import ConformerError
@@ -140,9 +138,7 @@ def cmd_predict(args) -> int:
         raise ConformerError(
             f"--at {t0} leaves no full input window in [0, {bundle.n_steps})")
     # The horizon may run past the end of the data; predict reads no targets.
-    window = Window(x=bundle.values[t0:t0 + cfg.t_in],
-                    y=np.zeros((cfg.t_out, bundle.n_nodes)), t0=t0)
-    preds = predict_windows(params, bundle, [window], stats)[0, :, :, 0]
+    preds = predict_windows(params, bundle, [t0], stats)[0, :, :, 0]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,38 +153,32 @@ def masked_metrics(y, y_hat) -> MaskedMetrics:
     return MaskedMetrics(mae=mae, rmse=rmse, mape=mape, n_valid=n_valid)
 
 
-@dataclass(frozen=True)
-class Window:
-    """One training/evaluation sample: input values, target values, start step."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t0: int
+def window_block(array: np.ndarray, starts, offset: int, length: int) -> np.ndarray:
+    """``array`` at steps ``start + offset + arange(length)`` of each window
+    start, ``[W, length, ...]``: inputs are offset 0, targets offset T."""
+    steps = np.asarray(starts, dtype=np.int64)[:, None] + offset + np.arange(length)
+    return array[steps]
 
 
-def windows_with_incidents(bundle: DatasetBundle, windows: list[Window],
-                           t_in: int) -> list[Window]:
-    """Windows whose input block contains at least one accident id."""
-    return [w for w in windows if bundle.acc_ids[w.t0:w.t0 + t_in].any()]
+def windows_with_incidents(bundle: DatasetBundle, windows, t_in: int) -> np.ndarray:
+    """Starts of the windows whose input block contains an accident id."""
+    windows = np.asarray(windows, dtype=np.int64)
+    return windows[window_block(bundle.acc_ids, windows, 0, t_in).any(axis=(1, 2))]
 
 
 def make_windows(bundle: DatasetBundle, split_range: tuple[int, int], t_in: int,
-                 t_out: int) -> list[Window]:
-    """Stride-1 sliding windows fully contained in the split range.
+                 t_out: int) -> np.ndarray:
+    """``int64`` start steps of the stride-1 sliding windows in the split range.
 
     Both the input block [t0, t0+T) and the target block [t0+T, t0+T+T')
     stay inside the range, so no window leaks across split boundaries.
-    Returns an empty list when the range is too short.
     """
+    if t_in < 1 or t_out < 1:
+        raise ConfigError(f"t_in and t_out must be >= 1, got {t_in} and {t_out}")
     lo, hi = split_range
     if not (0 <= lo <= hi <= bundle.n_steps):
         raise ConfigError(f"split range {split_range} outside [0, {bundle.n_steps}]")
-    windows = []
-    for t0 in range(lo, hi - t_in - t_out + 1):
-        x = bundle.values[t0:t0 + t_in]
-        y = bundle.values[t0 + t_in:t0 + t_in + t_out]
-        windows.append(Window(x=x, y=y, t0=t0))
-    return windows
+    return np.arange(lo, hi - t_in - t_out + 1, dtype=np.int64)
 
 
 # -- on-disk format -----------------------------------------------------------
@@ -245,15 +239,32 @@ def load_dataset(data_dir) -> DatasetBundle:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _load_error(meta_path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(meta, dict):
+        raise LoadError(f"{meta_path}: expected a JSON object")
     required = {"interval_minutes", "start_weekday", "start_slot", "n_nodes",
                 "n_steps", "acc_vocab", "reg_vocab"}
     missing = required - set(meta)
     if missing:
         raise LoadError(f"{meta_path}: missing keys {sorted(missing)}")
-    n_nodes, n_steps = int(meta["n_nodes"]), int(meta["n_steps"])
-    interval = int(meta["interval_minutes"])
-    if interval < 1 or 1440 % interval != 0:
+
+    def meta_int(key, lo, hi=math.inf):
+        # type(), not isinstance(), so that JSON true/false are rejected
+        if type(meta[key]) is not int or not lo <= meta[key] <= hi:
+            raise LoadError(f"{meta_path}: {key} must be an integer in [{lo}, {hi}], "
+                            f"got {meta[key]!r}")
+        return meta[key]
+
+    n_nodes, n_steps = meta_int("n_nodes", 1), meta_int("n_steps", 0)
+    interval = meta_int("interval_minutes", 1)
+    if 1440 % interval != 0:
         raise LoadError(f"{meta_path}: interval_minutes {interval} does not divide 1440")
+    start_weekday = meta_int("start_weekday", 0, 6)
+    start_slot = meta_int("start_slot", 0, 1440 // interval - 1)
+    vocabs = {kind: meta[f"{kind}_vocab"] for kind in ("acc", "reg")}
+    if not all(isinstance(v, list) and v and all(isinstance(s, str) for s in v)
+               for v in vocabs.values()):
+        raise LoadError(f"{meta_path}: acc_vocab and reg_vocab must be non-empty "
+                        "lists of strings")
 
     values = np.zeros((n_steps, n_nodes))
     seen = np.zeros((n_steps, n_nodes), dtype=bool)
@@ -282,8 +293,6 @@ def load_dataset(data_dir) -> DatasetBundle:
 
     acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
-    vocabs = {"acc": [str(s) for s in meta["acc_vocab"]],
-              "reg": [str(s) for s in meta["reg_vocab"]]}
     ipath = paths[INCIDENTS_FILE]
     with open(ipath, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -330,10 +339,8 @@ def load_dataset(data_dir) -> DatasetBundle:
     try:
         return DatasetBundle(
             values=values, acc_ids=acc_ids, reg_ids=reg_ids, graph=graph,
-            interval_minutes=interval,
-            start_weekday=int(meta["start_weekday"]),
-            start_slot=int(meta["start_slot"]),
-            acc_vocab=tuple(vocabs["acc"]), reg_vocab=tuple(vocabs["reg"]))
+            interval_minutes=interval, start_weekday=start_weekday,
+            start_slot=start_slot, acc_vocab=vocabs["acc"], reg_vocab=vocabs["reg"])
     except ValidationError as exc:
         raise LoadError(f"{data_dir}: {exc}") from exc
 

@@ -91,11 +91,10 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
     """Fused input embedding, ``[..., T, N, D_model]``.
 
     ``x`` is ``[T, N, D_in]`` or batched ``[B, T, N, D_in]``; ids match its
-    leading shape without the feature axis. ``t0`` is the absolute step of the
-    window start (an int, or one int per batch element).
+    leading shape without the feature axis. ``t0`` holds the absolute start
+    step of each window: an int, or one int per batch element.
     """
     x = nm.as_tensor(x)
-    batched = x.ndim == 4
     t_len, n_nodes = x.shape[-3], x.shape[-2]
     lead = x.shape[:-1]
 
@@ -109,16 +108,12 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
             f"adaptive embedding {tables.adaptive.shape[:2]} does not match "
             f"window shape ({t_len}, {n_nodes})")
 
-    t0s = np.atleast_1d(np.asarray(t0, dtype=np.int64))
-    if batched and len(t0s) not in (1, x.shape[0]):
-        raise ValidationError(
-            f"t0 must be scalar or one per batch element, got {len(t0s)} "
-            f"for batch {x.shape[0]}")
-    dow, tod = time_indices(t0s if batched else t0s[0], t_len, tables.cal)
-    # Per-timestep calendar rows broadcast over the node axis (and over the
-    # batch when one start is shared).
-    dow = np.broadcast_to(dow[..., None], lead)
-    tod = np.broadcast_to(tod[..., None], lead)
+    if np.shape(t0) != x.shape[:-3]:
+        raise ValidationError(f"t0 must hold one start per window, shape "
+                              f"{x.shape[:-3]}, got shape {np.shape(t0)}")
+    # Per-timestep calendar rows broadcast over the node axis.
+    dow, tod = (np.broadcast_to(a[..., None], lead)
+                for a in time_indices(t0, t_len, tables.cal))
 
     x_data = nm.matmul(x, tables.data_w) + tables.data_b
     x_acc = nm.gather_rows(tables.acc_table, acc_ids)
@@ -126,7 +121,7 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
     x_dow = nm.gather_rows(tables.dow_table, dow)
     x_tod = nm.gather_rows(tables.tod_table, tod)
     x_stae = tables.adaptive
-    if batched:
+    if x.ndim == 4:
         x_stae = nm.broadcast_to(x_stae, (x.shape[0],) + x_stae.shape)
 
     fused = nm.concat_last_axis([x_data, x_acc, x_reg, x_dow, x_tod, x_stae])

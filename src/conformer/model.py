@@ -66,6 +66,12 @@ class ConFormerConfig:
             raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if min(self.d_in, self.n_acc_codes, self.n_reg_codes, self.embed_width) < 1:
+            raise ConfigError("d_in, n_acc_codes, n_reg_codes and embed_width must be >= 1")
+        if min(self.d_data, self.d_acc, self.d_reg, self.d_dow, self.d_tod, self.d_stae) < 0:
+            raise ConfigError("embedding widths d_data .. d_stae must be >= 0")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         unknown = set(self.ablations) - set(ABLATIONS)
         if unknown:
             raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
@@ -77,8 +83,7 @@ class ConFormerConfig:
 
     @property
     def embed_width(self) -> int:
-        return (self.d_data + self.d_acc + self.d_reg + self.d_dow + self.d_tod
-                + self.d_stae)
+        return self.d_data + self.d_acc + self.d_reg + self.d_dow + self.d_tod + self.d_stae
 
     def calendar(self) -> CalendarIndexer:
         return CalendarIndexer(self.steps_per_day, self.start_weekday, self.start_slot)
@@ -241,7 +246,6 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
     training; inference is deterministic.
     """
     x = nm.as_tensor(x)
-    batched = x.ndim == 4
     if x.ndim not in (3, 4):
         raise DimensionError(f"input must be [.., T, N, D_in], got {x.shape}")
     if x.shape[-3] != cfg.t_in or x.shape[-2] != cfg.n_nodes or x.shape[-1] != cfg.d_in:
@@ -287,11 +291,10 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
         x_ff = _dropout(x_ff, cfg.dropout, dropout_rng)
         h = modulated_residual(x_res, x_ff, f_f.alpha)
 
-    return readout(h, params, cfg, batched)
+    return readout(h, params, cfg)
 
 
-def readout(h: nm.Tensor, params: ConFormerParams, cfg: ConFormerConfig,
-            batched: bool) -> nm.Tensor:
+def readout(h: nm.Tensor, params: ConFormerParams, cfg: ConFormerConfig) -> nm.Tensor:
     """Per-node affine map from the flattened (T, D) embedding to T' scalars."""
     # [..., T, N, D] -> [..., N, T, D] -> [..., N, T*D] -> [..., N, T'] -> [..., T', N, 1]
     moved = nm.moveaxis(h, -3, -2)

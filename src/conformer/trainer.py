@@ -10,8 +10,8 @@ import numpy as np
 
 from . import numerics as nm
 from .data import (DatasetBundle, MaskedMetrics, NormalizationStats, SplitSpec,
-                   Window, chronological_split, fit_normalization, make_windows,
-                   masked_metrics)
+                   chronological_split, fit_normalization, make_windows,
+                   masked_metrics, window_block)
 from .errors import ConfigError, NumericsError
 from .graph import normalize_adjacency
 from .model import ConFormerConfig, ConFormerParams, forward, init_params
@@ -134,19 +134,19 @@ def _gather(bundle: DatasetBundle, t0s: np.ndarray, t_in: int,
             stats: NormalizationStats):
     """Normalized inputs ``[B, T, N, 1]`` and id blocks ``[B, T, N]`` of the
     windows starting at ``t0s``."""
-    steps = t0s[:, None] + np.arange(t_in)
-    x = stats.apply(bundle.values[steps])[..., None]
-    return x, bundle.acc_ids[steps], bundle.reg_ids[steps]
+    x, acc, reg = (window_block(a, t0s, 0, t_in)
+                   for a in (bundle.values, bundle.acc_ids, bundle.reg_ids))
+    return stats.apply(x)[..., None], acc, reg
 
 
 def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
-                    windows: list[Window], stats: NormalizationStats,
+                    windows, stats: NormalizationStats,
                     batch_size: int = 64) -> np.ndarray:
-    """Denormalized forecasts for a list of windows, shape [W, T', N, 1]."""
+    """Denormalized forecasts for a sequence of window starts, [W, T', N, 1]."""
     cfg = params.cfg
     op = normalize_adjacency(bundle.graph)
     n_workers = max(1, int(os.environ.get("CONFORMER_THREADS", "1")))
-    t0s = np.array([w.t0 for w in windows], dtype=np.int64)
+    t0s = np.asarray(windows, dtype=np.int64)
     batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
 
     def run(starts: np.ndarray) -> np.ndarray:
@@ -163,12 +163,11 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     return np.concatenate(out, axis=0) if out else np.zeros((0, cfg.t_out, cfg.n_nodes, 1))
 
 
-def historical_inertia(windows: list[Window], t_out: int) -> np.ndarray:
+def historical_inertia(bundle: DatasetBundle, windows, t_in: int,
+                       t_out: int) -> np.ndarray:
     """Reference forecaster: repeat the last observed value across the horizon."""
-    if not windows:
-        return np.zeros((0, t_out, 1, 1))
-    last = np.stack([w.x[-1] for w in windows])          # [W, N]
-    return np.repeat(last[:, None, :, None], t_out, axis=1)
+    last = window_block(bundle.values, windows, t_in - 1, 1)     # [W, 1, N]
+    return np.repeat(last[..., None], t_out, axis=1)
 
 
 def evaluate_forecasts(y_true: np.ndarray, y_pred: np.ndarray,
@@ -189,12 +188,12 @@ def evaluate_forecasts(y_true: np.ndarray, y_pred: np.ndarray,
 
 
 def _split_windows(bundle: DatasetBundle, split: SplitSpec, split_name: str,
-                   t_in: int, t_out: int) -> tuple[list[Window], np.ndarray]:
-    """The windows of one split and their targets ``[W, T', N, 1]``."""
+                   t_in: int, t_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window starts of one split and their targets ``[W, T', N, 1]``."""
     windows = make_windows(bundle, split.range_for(split_name), t_in, t_out)
-    if not windows:
+    if len(windows) == 0:
         raise ConfigError(f"split '{split_name}' too short for T={t_in}, T'={t_out}")
-    return windows, np.stack([w.y for w in windows])[..., None]
+    return windows, window_block(bundle.values, windows, t_in, t_out)[..., None]
 
 
 def evaluate(params: ConFormerParams, bundle: DatasetBundle, split: SplitSpec,
@@ -211,7 +210,8 @@ def evaluate_historical_inertia(bundle: DatasetBundle, split: SplitSpec,
                                 split_name: str, t_in: int, t_out: int,
                                 horizons: list[int]) -> dict[str, MaskedMetrics]:
     windows, y_true = _split_windows(bundle, split, split_name, t_in, t_out)
-    return evaluate_forecasts(y_true, historical_inertia(windows, t_out), horizons)
+    y_pred = historical_inertia(bundle, windows, t_in, t_out)
+    return evaluate_forecasts(y_true, y_pred, horizons)
 
 
 def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
@@ -225,15 +225,13 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
     split = split or chronological_split(bundle.n_steps)
     train_windows = make_windows(bundle, split.train, cfg.t_in, cfg.t_out)
     val_windows = make_windows(bundle, split.val, cfg.t_in, cfg.t_out)
-    if not train_windows or not val_windows:
+    if len(train_windows) == 0 or len(val_windows) == 0:
         raise ConfigError(
             f"train/val splits too short for T={cfg.t_in}, T'={cfg.t_out} "
             f"(got {len(train_windows)}/{len(val_windows)} windows)")
 
     lo, hi = split.train
     stats = fit_normalization(bundle.values[lo:hi])
-    train_t0s = np.array([w.t0 for w in train_windows], dtype=np.int64)
-    target_offsets = cfg.t_in + np.arange(cfg.t_out)
     op = normalize_adjacency(bundle.graph)
 
     seeds = np.random.SeedSequence(tcfg.seed).spawn(3)
@@ -252,9 +250,9 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
         order = shuffle_rng.permutation(len(train_windows))
         epoch_losses = []
         for start in range(0, len(order), tcfg.batch_size):
-            t0s = train_t0s[order[start:start + tcfg.batch_size]]
+            t0s = train_windows[order[start:start + tcfg.batch_size]]
             x, acc, reg = _gather(bundle, t0s, cfg.t_in, stats)
-            y = bundle.values[t0s[:, None] + target_offsets][..., None]
+            y = window_block(bundle.values, t0s, cfg.t_in, cfg.t_out)[..., None]
             pred = forward(x, acc, reg, t0s, op, params, cfg,
                            dropout_rng=dropout_rng if cfg.dropout > 0 else None)
             loss = masked_mae_loss(pred, y, stats)

@@ -16,7 +16,7 @@ from conformer import numerics as nm
 from conformer.cli import main as cli_main
 from conformer.conditioning import expanded_score_identity, gln, ConditionFactors
 from conformer.data import (SynthConfig, chronological_split, make_windows,
-                            masked_metrics, synth_generate,
+                            masked_metrics, synth_generate, window_block,
                             windows_with_incidents)
 from conformer.embeddings import embed_all
 from conformer.graph import GraphSpec, normalize_adjacency, propagate
@@ -174,7 +174,7 @@ def test_criterion_5_zero_init_identity():
     x, acc, reg, graph, y = grad_check_inputs(cfg, seed=2)
     out = forward(x, acc, reg, 5, graph, params, cfg)
     emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
-    direct = readout(emb, params, cfg, batched=False)
+    direct = readout(emb, params, cfg)
     bitwise = out.data.tobytes() == direct.data.tobytes()
 
     loss = masked_mae_loss(out, y, NormalizationStats(0.0, 1.0))
@@ -254,6 +254,7 @@ def desk_model_config(bundle, d_model, k_hops, n_heads, ablations=()):
         ablations=ablations)
 
 
+@pytest.mark.slow
 def test_criterion_8_training_beats_historical_inertia(desk_bundle):
     start = time.time()
     split = chronological_split(desk_bundle.n_steps)
@@ -271,11 +272,12 @@ def test_criterion_8_training_beats_historical_inertia(desk_bundle):
            f"{hi['average'].mae:.4f}, ratio {ratio:.3f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_direction(desk_bundle):
     split = chronological_split(desk_bundle.n_steps)
     test_windows = make_windows(desk_bundle, split.test, 12, 12)
     incident = windows_with_incidents(desk_bundle, test_windows, 12)
-    y_true = np.stack([w.y for w in incident])[..., None]
+    y_true = window_block(desk_bundle.values, incident, 12, 12)[..., None]
 
     def incident_mae(seed, ablations):
         cfg = desk_model_config(desk_bundle, d_model=16, k_hops=1, n_heads=2,

@@ -163,7 +163,13 @@ class TestEvaluatePredictFlops:
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1
 
-    def test_hi_split_too_short(self, tmp_path, tiny_config, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-in", "2000"], "split 'test' too short"),
+        (["--t-in", "0"], "t_in and t_out must be >= 1"),
+        (["--t-in", "-3"], "t_in and t_out must be >= 1"),
+        (["--t-out", "0"], "t_in and t_out must be >= 1"),
+    ], ids=["t-in-2000", "t-in-0", "t-in-negative", "t-out-0"])
+    def test_hi_split_too_short(self, tmp_path, tiny_config, capsys, argv, message):
         data = synth_dir(tmp_path, tiny_config)
-        assert main(["hi", "--data", data, "--t-in", "2000"]) == 1
-        assert "split 'test' too short" in capsys.readouterr().err
+        assert main(["hi", "--data", data] + argv) == 1
+        assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conformer.data import (DatasetBundle, SynthConfig, chronological_split,
                             fit_normalization, load_dataset, make_windows,
                             masked_metrics, save_dataset, synth_generate,
-                            windows_with_incidents)
+                            window_block, windows_with_incidents)
 from conformer.errors import ConfigError, DimensionError, LoadError
 from conformer.graph import GraphSpec
 
@@ -50,6 +51,27 @@ class TestRoundTrip:
         meta.write_text(meta.read_text().replace('"interval_minutes": 60',
                                                  '"interval_minutes": 7'))
         with pytest.raises(LoadError, match="1440"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_nodes", "abc"), ("n_nodes", 0), ("n_steps", [1]), ("n_steps", -5),
+        ("interval_minutes", 60.0), ("start_weekday", 9), ("start_weekday", True),
+        ("start_slot", 24), ("acc_vocab", "none,accident"), ("reg_vocab", []),
+        ("reg_vocab", ["none", 3])])
+    def test_bad_meta_value_rejected(self, tmp_path, key, value):
+        bundle = tiny_bundle()
+        save_dataset(bundle, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(LoadError, match=f"meta.json: .*{key}"):
+            load_dataset(tmp_path)
+
+    def test_meta_must_be_object(self, tmp_path):
+        save_dataset(tiny_bundle(), tmp_path)
+        (tmp_path / "meta.json").write_text("5")
+        with pytest.raises(LoadError, match="meta.json: expected a JSON object"):
             load_dataset(tmp_path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -168,7 +190,8 @@ class TestWindows:
         bundle = tiny_bundle()
         windows = make_windows(bundle, (0, 7), t_in=4, t_out=3)
         assert len(windows) == 1
-        assert windows[0].t0 == 0
+        assert windows[0] == 0
+        assert windows.dtype == np.int64
 
     def test_count_formula(self):
         bundle = tiny_bundle()
@@ -178,7 +201,7 @@ class TestWindows:
 
     def test_too_short_range_is_empty(self):
         bundle = tiny_bundle()
-        assert make_windows(bundle, (0, 5), 4, 3) == []
+        assert len(make_windows(bundle, (0, 5), 4, 3)) == 0
 
     def test_no_leakage_across_boundaries(self):
         bundle = tiny_bundle()
@@ -188,16 +211,18 @@ class TestWindows:
             t_in = int(rng.integers(1, 6))
             t_out = int(rng.integers(1, 6))
             train = make_windows(bundle, split.train, t_in, t_out)
-            if train:
+            if len(train):
                 last = train[-1]
-                assert last.t0 + t_in + t_out <= split.train[1]
-                assert last.t0 + t_in + t_out - 1 < split.val[0]
+                assert last + t_in + t_out <= split.train[1]
+                assert last + t_in + t_out - 1 < split.val[0]
 
     def test_window_contents(self):
         bundle = tiny_bundle()
-        w = make_windows(bundle, (3, 12), 4, 2)[0]
-        assert np.array_equal(w.x, bundle.values[3:7])
-        assert np.array_equal(w.y, bundle.values[7:9])
+        starts = make_windows(bundle, (3, 12), 4, 2)
+        assert np.array_equal(window_block(bundle.values, starts, 0, 4)[0],
+                              bundle.values[3:7])
+        assert np.array_equal(window_block(bundle.values, starts, 4, 2)[0],
+                              bundle.values[7:9])
 
 
 class TestSynthGenerate:
@@ -271,6 +296,6 @@ class TestSynthGenerate:
         bundle = synth_generate(gen, seed=10)
         windows = make_windows(bundle, (0, bundle.n_steps), 4, 2)
         inc = windows_with_incidents(bundle, windows, 4)
-        inc_starts = {w.t0 for w in inc}
-        for w in windows:
-            assert (w.t0 in inc_starts) == bool(bundle.acc_ids[w.t0:w.t0 + 4].any())
+        inc_starts = set(inc.tolist())
+        for t0 in windows:
+            assert (t0 in inc_starts) == bool(bundle.acc_ids[t0:t0 + 4].any())

@@ -7,7 +7,7 @@ import pytest
 
 from conformer import numerics as nm
 from conformer.embeddings import embed_all
-from conformer.errors import ConfigError, DimensionError, LoadError
+from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
 from conformer.model import (ConFormerConfig, count_params, estimate_flops,
                              forward, init_params, load_checkpoint, param_spec,
@@ -35,8 +35,12 @@ def tiny_inputs(cfg, seed=0):
 
 class TestConfig:
     def test_heads_must_divide(self):
+        zero_widths = dict(d_data=0, d_acc=0, d_reg=0, d_dow=0, d_tod=0, d_stae=0)
         for bad in (dict(d_model=10, n_heads=4), dict(n_heads=0), dict(n_heads=-4),
-                    dict(d_model=0), dict(n_layers=-1)):
+                    dict(d_model=0), dict(n_layers=-1), dict(d_in=0),
+                    dict(d_stae=-1), dict(d_acc=-3), zero_widths, dict(eps=0.0),
+                    dict(eps=-1.0), dict(eps=float("nan")), dict(eps=float("inf")),
+                    dict(n_acc_codes=0), dict(n_reg_codes=0)):
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad)
 
@@ -67,7 +71,7 @@ class TestForward:
         x, acc, reg, graph = tiny_inputs(cfg, seed=3)
         out = forward(x, acc, reg, 5, graph, params, cfg)
         emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
-        direct = readout(emb, params, cfg, batched=False)
+        direct = readout(emb, params, cfg)
         assert out.data.tobytes() == direct.data.tobytes()
 
     def test_zero_init_identity_stacked_layers(self):
@@ -76,7 +80,7 @@ class TestForward:
         x, acc, reg, graph = tiny_inputs(cfg, seed=3)
         out = forward(x, acc, reg, 5, graph, params, cfg)
         emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
-        direct = readout(emb, params, cfg, batched=False)
+        direct = readout(emb, params, cfg)
         assert out.data.tobytes() == direct.data.tobytes()
 
     def test_determinism_same_seed(self):
@@ -108,6 +112,12 @@ class TestForward:
         x, acc, reg, graph = tiny_inputs(cfg)
         with pytest.raises(DimensionError):
             forward(x[:2], acc[:2], reg[:2], 0, graph, params, cfg)
+        # t0 must hold exactly one start per window
+        xb, accb, regb = np.stack([x, x]), np.stack([acc, acc]), np.stack([reg, reg])
+        for args in ((x, acc, reg, np.array([0, 5, 7])), (x, acc, reg, [0]),
+                     (xb, accb, regb, 0), (xb, accb, regb, [0, 1, 2])):
+            with pytest.raises(ValidationError, match="one start per window"):
+                forward(*args, graph, params, cfg)
 
     def test_graph_size_mismatch_rejected(self):
         cfg = tiny_cfg()
@@ -159,7 +169,7 @@ class TestAblations:
         x, acc, reg, graph = tiny_inputs(cfg, seed=9)
         out = forward(x, acc, reg, 0, graph, params, cfg)
         emb = embed_all(nm.Tensor(x), acc, reg, 0, params.tables())
-        direct = readout(emb, params, cfg, batched=False)
+        direct = readout(emb, params, cfg)
         assert not np.allclose(out.data, direct.data)
 
     def test_plain_ln_adds_parameters(self):

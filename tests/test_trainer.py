@@ -121,11 +121,12 @@ class TestTraining:
         stats = NormalizationStats(float(bundle.values.mean()),
                                    float(bundle.values.std()))
         op = normalize_adjacency(bundle.graph)
-        w = windows[0]
-        x = stats.apply(w.x)[..., None]
-        pred = forward(x, bundle.acc_ids[w.t0:w.t0 + cfg.t_in],
-                       bundle.reg_ids[w.t0:w.t0 + cfg.t_in], w.t0, op, params, cfg)
-        loss = masked_mae_loss(pred, w.y[..., None], stats)
+        t0 = int(windows[0])
+        x = stats.apply(bundle.values[t0:t0 + cfg.t_in])[..., None]
+        pred = forward(x, bundle.acc_ids[t0:t0 + cfg.t_in],
+                       bundle.reg_ids[t0:t0 + cfg.t_in], t0, op, params, cfg)
+        y = bundle.values[t0 + cfg.t_in:t0 + cfg.t_in + cfg.t_out]
+        loss = masked_mae_loss(pred, y[..., None], stats)
         record = nm.backward(loss, dict(params.entries()))
         for name in ("layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv",
                      "layer0.attn.bq", "layer0.attn.fuse.w", "layer0.ff.w1",
@@ -158,10 +159,11 @@ class TestEvaluate:
     def test_historical_inertia_definition(self):
         bundle = tiny_bundle()
         windows = make_windows(bundle, (0, 10), 3, 4)
-        preds = historical_inertia(windows, 4)
-        for i, w in enumerate(windows):
+        preds = historical_inertia(bundle, windows, 3, 4)
+        assert preds.shape == (len(windows), 4, bundle.n_nodes, 1)
+        for i, t0 in enumerate(windows):
             for h in range(4):
-                assert np.array_equal(preds[i, h, :, 0], w.x[-1])
+                assert np.array_equal(preds[i, h, :, 0], bundle.values[t0 + 2])
 
     def test_horizon_slices_match_brute_force(self):
         rng = np.random.default_rng(4)
