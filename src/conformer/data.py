@@ -4,6 +4,7 @@ masked metrics, window extraction, and the synthetic incident generator."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -184,29 +185,30 @@ def make_windows(bundle: DatasetBundle, split_range: tuple[int, int], t_in: int,
 # -- on-disk format -----------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly,
-    # so save -> load is bitwise lossless.
-    return repr(float(v))
-
-
 def save_dataset(bundle: DatasetBundle, out_dir) -> None:
-    """Write the four-file dataset layout (UTF-8, LF endings, 0-based ids)."""
+    """Write the four-file dataset layout (UTF-8, LF endings, 0-based ids).
+
+    Floats are written as the ``repr`` of a Python float, the shortest string
+    that round-trips exactly, so save -> load is bitwise lossless.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, VALUES_FILE), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,node,value\n")
+        node_fields = [f",{n}," for n in range(bundle.n_nodes)]
+        # One row at a time: ``tolist`` of the whole matrix would hold every
+        # value as a Python float at once.
         for t in range(bundle.n_steps):
-            for n in range(bundle.n_nodes):
-                fh.write(f"{t},{n},{_fmt(bundle.values[t, n])}\n")
+            fh.write("".join([f"{t}{node}{v!r}\n" for node, v in
+                              zip(node_fields, bundle.values[t].tolist())]))
     with open(os.path.join(out_dir, INCIDENTS_FILE), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,node,kind,code\n")
         for kind, ids in (("acc", bundle.acc_ids), ("reg", bundle.reg_ids)):
-            for t, n in zip(*np.nonzero(ids)):
-                fh.write(f"{t},{n},{kind},{ids[t, n]}\n")
+            ts, ns = np.nonzero(ids)
+            fh.writelines(f"{t},{n},{kind},{code}\n" for t, n, code in
+                          zip(ts.tolist(), ns.tolist(), ids[ts, ns].tolist()))
     with open(os.path.join(out_dir, ADJACENCY_FILE), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("src,dst,weight\n")
-        for src, dst, weight in bundle.graph.edges:
-            fh.write(f"{src},{dst},{_fmt(weight)}\n")
+        fh.writelines(f"{src},{dst},{weight!r}\n" for src, dst, weight in bundle.graph.edges)
     meta = {
         "interval_minutes": bundle.interval_minutes,
         "start_weekday": bundle.start_weekday,
@@ -223,6 +225,97 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> None:
 
 def _load_error(path, line_no, msg) -> LoadError:
     return LoadError(f"{path}:{line_no}: {msg}")
+
+
+def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
+    """The reference ``values.csv`` reader: one CSV row at a time, and the
+    source of every ``values.csv`` error."""
+    values = np.zeros((n_steps, n_nodes))
+    seen = np.zeros((n_steps, n_nodes), dtype=bool)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["t", "node", "value"]:
+            raise _load_error(path, 1, f"expected header t,node,value, got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise _load_error(path, line_no, f"expected 3 fields, got {len(row)}")
+            try:
+                t, n, v = int(row[0]), int(row[1]), float(row[2])
+            except ValueError as exc:
+                raise _load_error(path, line_no, f"malformed row: {exc}") from exc
+            if not math.isfinite(v):
+                raise _load_error(path, line_no, f"non-finite value {row[2]!r}")
+            if not (0 <= t < n_steps and 0 <= n < n_nodes):
+                raise _load_error(path, line_no, f"(t={t}, node={n}) out of range")
+            if seen[t, n]:
+                raise _load_error(path, line_no, f"duplicate entry for (t={t}, node={n})")
+            seen[t, n] = True
+            values[t, n] = v
+    if not seen.all():
+        t, n = np.argwhere(~seen)[0]
+        raise LoadError(f"{path}: missing value for (t={t}, node={n})")
+    return values
+
+
+_VALUES_HEADER = b"t,node,value\n"
+_VALUES_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("value", np.float64)])
+_VALUES_BYTES = b"0123456789+-.eE,\n"
+_VALUES_CHUNK = 1 << 20  # bytes parsed per np.loadtxt call; bounds peak memory
+
+
+def _line_chunks(fh, size: int):
+    """The rest of binary file ``fh`` in pieces of whole lines, read
+    ``size`` bytes at a time; a last line without a newline comes last."""
+    rest = b""
+    while block := fh.read(size):
+        buf = rest + block
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            yield buf[:cut]
+        rest = buf[cut:]
+    if rest:
+        yield rest
+
+
+def _read_values_fast(path, n_steps: int, n_nodes: int) -> np.ndarray | None:
+    """``values.csv`` parsed by ``np.loadtxt``, or None unless the row reader
+    would accept the file and give the same values.
+
+    The file must be the header and then non-blank ``\\n``-terminated lines
+    of digits, signs, points, exponents and commas. On those lines the CSV
+    module splits like ``loadtxt``, ``loadtxt`` parses ``[+-]?digits`` as
+    ``int`` does and floats with the same correctly rounded conversion as
+    ``float``, and it rejects everything else. What remains is checked here:
+    finiteness, ranges, and one row per (t, node).
+    """
+    values = np.empty(n_steps * n_nodes)
+    seen = np.zeros(n_steps * n_nodes, dtype=bool)
+    n_rows = 0
+    with open(path, "rb") as fh:
+        if fh.readline() != _VALUES_HEADER:
+            return None
+        for lines in _line_chunks(fh, _VALUES_CHUNK):
+            if (lines.startswith(b"\n") or b"\n\n" in lines
+                    or lines.translate(None, _VALUES_BYTES)):
+                return None
+            try:
+                rows = np.loadtxt(io.BytesIO(lines), dtype=_VALUES_DTYPE, delimiter=",",
+                                  comments=None, quotechar=None, ndmin=1, encoding="ascii")
+            except ValueError:
+                return None
+            t, node, v = rows["t"], rows["node"], rows["value"]
+            n_rows += len(rows)
+            if (not np.isfinite(v).all() or t.min() < 0 or t.max() >= n_steps
+                    or node.min() < 0 or node.max() >= n_nodes):
+                return None
+            flat = t * n_nodes + node
+            seen[flat] = True
+            values[flat] = v
+    # As many rows as cells, every cell seen: no cell is missing or repeated.
+    if n_rows != seen.size or not seen.all():
+        return None
+    return values.reshape(n_steps, n_nodes)
 
 
 def load_dataset(data_dir) -> DatasetBundle:
@@ -266,30 +359,9 @@ def load_dataset(data_dir) -> DatasetBundle:
         raise LoadError(f"{meta_path}: acc_vocab and reg_vocab must be non-empty "
                         "lists of strings")
 
-    values = np.zeros((n_steps, n_nodes))
-    seen = np.zeros((n_steps, n_nodes), dtype=bool)
-    vpath = paths[VALUES_FILE]
-    with open(vpath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "node", "value"]:
-            raise _load_error(vpath, 1, f"expected header t,node,value, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise _load_error(vpath, line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                t, n, v = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise _load_error(vpath, line_no, f"malformed row: {exc}") from exc
-            if not (0 <= t < n_steps and 0 <= n < n_nodes):
-                raise _load_error(vpath, line_no, f"(t={t}, node={n}) out of range")
-            if seen[t, n]:
-                raise _load_error(vpath, line_no, f"duplicate entry for (t={t}, node={n})")
-            seen[t, n] = True
-            values[t, n] = v
-    if not seen.all():
-        t, n = np.argwhere(~seen)[0]
-        raise LoadError(f"{vpath}: missing value for (t={t}, node={n})")
+    values = _read_values_fast(paths[VALUES_FILE], n_steps, n_nodes)
+    if values is None:
+        values = _read_values_rows(paths[VALUES_FILE], n_steps, n_nodes)
 
     acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
@@ -382,6 +454,8 @@ class SynthConfig:
                 f"interval_minutes must divide 1440, got {self.interval_minutes}")
         if not 0.0 < self.drop_factor <= 1.0 or not 0.0 < self.cap_fraction <= 1.0:
             raise ConfigError("drop_factor and cap_fraction must be in (0, 1]")
+        if self.duration_steps < 0 or self.recovery_steps < 0:
+            raise ConfigError("duration_steps and recovery_steps must be >= 0")
 
 
 def _ring_graph(n: int) -> GraphSpec:
@@ -415,9 +489,10 @@ def _random_geometric_graph(n: int, rng: np.random.Generator) -> GraphSpec:
     radius = 1.3 * math.sqrt(2.0 / max(n, 2))
     edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(pts[i] - pts[j])) <= radius:
-                edges += [(i, j, 1.0), (j, i, 1.0)]
+        # One row of distances at a time: an N x N pair array costs peak RSS.
+        diff = pts[i] - pts[i + 1:]
+        for j in (i + 1 + np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) <= radius)).tolist():
+            edges += [(i, j, 1.0), (j, i, 1.0)]
     return GraphSpec(n_nodes=n, edges=tuple(edges))
 
 
@@ -448,16 +523,13 @@ def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
     return footprint
 
 
-def _event_profile(length: int, t0: int, duration: int, recovery: int) -> np.ndarray:
-    """Temporal intensity: 1 during the event, then linear recovery to 0."""
+def _event_profile(length: int, duration: int, recovery: int) -> np.ndarray:
+    """Temporal intensity over the ``length`` steps from the event's start:
+    1 during the event, then linear recovery towards 0."""
     profile = np.zeros(length)
-    end = min(t0 + duration, length)
-    profile[t0:end] = 1.0
-    for j in range(recovery):
-        t = t0 + duration + j
-        if t >= length:
-            break
-        profile[t] = 1.0 - (j + 1) / (recovery + 1)
+    profile[:duration] = 1.0
+    for j in range(min(recovery, length - duration)):
+        profile[duration + j] = 1.0 - (j + 1) / (recovery + 1)
     return profile
 
 
@@ -503,18 +575,21 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
         # Major accidents (severity 2) hit harder and linger longer, so the
         # severity code carries information the speed values alone cannot.
         duration = gen.duration_steps if severity == 1 else gen.duration_steps * 2
-        profile = _event_profile(t_total, t0, duration, gen.recovery_steps)
+        # Outside these rows the effect is 0: a factor of exactly 1, an
+        # infinite cap and no mark, so touching only them changes no bit.
+        rows = slice(t0, min(t0 + duration + gen.recovery_steps, t_total))
+        profile = _event_profile(rows.stop - t0, duration, gen.recovery_steps)
         effect = profile[:, None] * footprint[None, :]
+        marked = effect >= 0.05
         if kind == "acc":
             drop = gen.drop_factor if severity == 1 else gen.drop_factor * 0.7
-            values *= 1.0 - (1.0 - drop) * effect
-            marked = effect >= 0.05
-            acc_ids[marked] = np.maximum(acc_ids[marked], severity)
+            values[rows] *= 1.0 - (1.0 - drop) * effect
+            ids = acc_ids[rows]
         else:
-            cap = base * (gen.cap_fraction + (1.0 - gen.cap_fraction) * (1.0 - effect))
-            values = np.minimum(values, np.where(effect > 0, cap, np.inf))
-            marked = effect >= 0.05
-            reg_ids[marked] = np.maximum(reg_ids[marked], severity)
+            cap = base[rows] * (gen.cap_fraction + (1.0 - gen.cap_fraction) * (1.0 - effect))
+            values[rows] = np.minimum(values[rows], np.where(effect > 0, cap, np.inf))
+            ids = reg_ids[rows]
+        ids[marked] = np.maximum(ids[marked], severity)
 
     values = np.maximum(values, 0.5)
 

@@ -28,14 +28,6 @@ class CalendarIndexer:
             raise ValidationError(
                 f"start_slot must be in 0..{self.steps_per_day - 1}, got {self.start_slot}")
 
-    @classmethod
-    def from_interval(cls, interval_minutes: int, start_weekday: int = 0,
-                      start_slot: int = 0) -> "CalendarIndexer":
-        if interval_minutes < 1 or 1440 % interval_minutes != 0:
-            raise ValidationError(
-                f"interval_minutes must divide 1440, got {interval_minutes}")
-        return cls(1440 // interval_minutes, start_weekday, start_slot)
-
 
 def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:
     """(dow, tod) for absolute step ``t``; dow advances by one per day wrap."""

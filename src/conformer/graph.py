@@ -3,6 +3,7 @@ propagation with hop-wise feature concatenation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,16 @@ Edge = tuple[int, int, float]
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Weighted directed road graph: ``n_nodes`` nodes and an edge list."""
+    """Weighted directed road graph: ``n_nodes`` nodes and an edge list.
+
+    Weights are finite and non-negative. The edges are also kept as read-only
+    ``src``/``dst``/``weight`` arrays, so ``adjacency`` is one indexed store.
+    """
 
     n_nodes: int
     edges: tuple[Edge, ...] = field(default_factory=tuple)
+    _arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -30,16 +37,24 @@ class GraphSpec:
             if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
                 raise ValidationError(
                     f"edge ({src}, {dst}) outside node range [0, {self.n_nodes})")
+            if not math.isfinite(weight):
+                raise ValidationError(f"edge ({src}, {dst}) has non-finite weight {weight}")
             if weight < 0:
                 raise ValidationError(f"edge ({src}, {dst}) has negative weight {weight}")
             if (src, dst) in seen:
                 raise ValidationError(f"duplicate edge ({src}, {dst})")
             seen.add((src, dst))
+        columns = tuple(zip(*self.edges)) or ((), (), ())
+        arrays = tuple(np.array(col, dtype=dtype) for col, dtype in
+                       zip(columns, (np.int64, np.int64, np.float64)))
+        for array in arrays:
+            array.setflags(write=False)
+        object.__setattr__(self, "_arrays", arrays)
 
     def adjacency(self) -> np.ndarray:
+        src, dst, weight = self._arrays
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for src, dst, weight in self.edges:
-            a[src, dst] = weight
+        a[src, dst] = weight
         return a
 
 
@@ -61,13 +76,16 @@ class PropagationOperator:
             raise ValidationError("operator rows must sum to 1 (or 0 for isolated nodes)")
         self.matrix = matrix
         self.matrix.setflags(write=False)
-        self._tensor = nm.Tensor(matrix)
+        self._tensor = None
 
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
 
     def as_tensor(self) -> nm.Tensor:
+        # Built on first use: ``synth`` needs only the matrix.
+        if self._tensor is None:
+            self._tensor = nm.Tensor(self.matrix)
         return self._tensor
 
 

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conformer import data
 from conformer.data import (DatasetBundle, SynthConfig, chronological_split,
                             fit_normalization, load_dataset, make_windows,
                             masked_metrics, save_dataset, synth_generate,
@@ -99,6 +103,144 @@ class TestRoundTrip:
         vals.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(LoadError, match="missing value"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("reader", ["default", "rows"])
+    def test_non_finite_value_rejected(self, tmp_path, monkeypatch, text, reader):
+        if reader == "rows":
+            monkeypatch.setattr(data, "_read_values_fast", lambda *args: None)
+        save_dataset(tiny_bundle(), tmp_path)
+        vals = tmp_path / "values.csv"
+        lines = vals.read_text().splitlines()
+        lines[3] = f"1,0,{text}"
+        vals.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match=r"values\.csv:4: non-finite value"):
+            load_dataset(tmp_path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        save_dataset(tiny_bundle(), tmp_path)
+        adj = tmp_path / "adjacency.csv"
+        adj.write_text(adj.read_text().replace("1,0,0.5", "1,0,nan"))
+        with pytest.raises(LoadError, match=r"adjacency\.csv: edge \(1, 0\) has non-finite"):
+            load_dataset(tmp_path)
+
+
+def bundle_bytes(b):
+    return (b.values.tobytes(), b.values.shape, b.acc_ids.tobytes(), b.reg_ids.tobytes(),
+            np.array(b.graph.edges, dtype=np.float64).tobytes(), b.graph.n_nodes,
+            b.interval_minutes, b.start_weekday, b.start_slot, b.acc_vocab, b.reg_vocab)
+
+
+def load_outcome(path):
+    try:
+        return bundle_bytes(load_dataset(path))
+    except LoadError as exc:
+        return f"LoadError: {exc}"
+
+
+def _edit_lines(edit):
+    def corrupt(text):
+        lines = text.split("\n")[:-1]
+        edit(lines)
+        return "".join(line + "\n" for line in lines)
+    return corrupt
+
+
+# (corruption, whether the numpy reader takes the result). Line 0 is the
+# header; tiny_bundle has 2 nodes, so line 21 is (t=10, node=0).
+VALUES_CORRUPTIONS = {
+    "none": (lambda text: text, True),
+    "no-final-newline": (lambda text: text[:-1], True),
+    "out-of-order": (_edit_lines(lambda ls: ls.insert(1, ls.pop(20))), True),
+    "reversed": (_edit_lines(lambda ls: ls.__setitem__(slice(1, None), ls[:0:-1])), True),
+    "blank-line": (_edit_lines(lambda ls: ls.insert(5, "")), False),
+    "blank-last-line": (lambda text: text + "\n", False),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), False),
+    "trailing-comma": (_edit_lines(lambda ls: ls.__setitem__(3, ls[3] + ",")), False),
+    "underscore": (_edit_lines(lambda ls: ls.__setitem__(21, "1_0" + ls[21][2:])), False),
+    "quoted-field": (_edit_lines(lambda ls: ls.__setitem__(21, '"10"' + ls[21][2:])), False),
+    "space": (_edit_lines(lambda ls: ls.__setitem__(21, " 10" + ls[21][2:])), False),
+    "nan": (_edit_lines(lambda ls: ls.__setitem__(3, "1,0,nan")), False),
+    "overflow": (_edit_lines(lambda ls: ls.__setitem__(3, "1,0,1e999")), False),
+    "float-step": (_edit_lines(lambda ls: ls.__setitem__(21, "10.0" + ls[21][2:])), False),
+    "short-row": (_edit_lines(lambda ls: ls.__setitem__(3, "1,0")), False),
+    "missing-row": (_edit_lines(lambda ls: ls.pop(7)), False),
+    "duplicate-row": (_edit_lines(lambda ls: ls.__setitem__(7, ls[8])), False),
+    "extra-row": (_edit_lines(lambda ls: ls.append(ls[8])), False),
+    "out-of-range": (_edit_lines(lambda ls: ls.__setitem__(3, "1,2,5.0")), False),
+    "negative-step": (_edit_lines(lambda ls: ls.__setitem__(3, "-1,0,5.0")), False),
+    "bad-header": (lambda text: "t,node,val" + text[len("t,node,value"):], False),
+    "header-only": (lambda text: text.split("\n")[0] + "\n", False),
+}
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+WEIGHTS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, width=64)
+INTERVALS = [m for m in range(1, 1441) if 1440 % m == 0]
+
+
+@st.composite
+def bundles(draw):
+    n_steps, n_nodes = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    cells = n_steps * n_nodes
+    values = draw(st.lists(FLOATS, min_size=cells, max_size=cells))
+    vocabs = [draw(st.lists(st.text(max_size=4), min_size=1, max_size=3)) for _ in range(2)]
+    ids = [draw(st.lists(st.integers(0, len(v) - 1), min_size=cells, max_size=cells))
+           for v in vocabs]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1)),
+                          unique=True, max_size=8))
+    interval = draw(st.sampled_from(INTERVALS))
+    return DatasetBundle(
+        values=np.reshape(values, (n_steps, n_nodes)),
+        acc_ids=np.reshape(ids[0], (n_steps, n_nodes)),
+        reg_ids=np.reshape(ids[1], (n_steps, n_nodes)),
+        graph=GraphSpec(n_nodes, tuple((s, d, draw(WEIGHTS)) for s, d in pairs)),
+        interval_minutes=interval, start_weekday=draw(st.integers(0, 6)),
+        start_slot=draw(st.integers(0, 1440 // interval - 1)),
+        acc_vocab=vocabs[0], reg_vocab=vocabs[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundles())
+def test_load_save_roundtrip_property(bundle):
+    with tempfile.TemporaryDirectory() as out:
+        save_dataset(bundle, out)
+        assert load_outcome(out) == bundle_bytes(bundle)
+
+
+class TestValuesReaders:
+    """The numpy reader of values.csv against the row reader it shortcuts."""
+
+    @pytest.mark.parametrize("name", sorted(VALUES_CORRUPTIONS))
+    def test_same_bundle_or_same_error(self, tmp_path, monkeypatch, name):
+        corrupt, fast = VALUES_CORRUPTIONS[name]
+        save_dataset(tiny_bundle(), tmp_path)
+        vals = tmp_path / "values.csv"
+        vals.write_bytes(corrupt(vals.read_text()).encode())
+        outcomes = set()
+        # Small chunks put line and blank-line boundaries between loadtxt calls.
+        for chunk in (1, 5, 64, 1 << 20):
+            monkeypatch.setattr(data, "_VALUES_CHUNK", chunk)
+            assert (data._read_values_fast(vals, 48, 2) is not None) == fast
+            outcomes.add(load_outcome(tmp_path))
+        monkeypatch.setattr(data, "_read_values_fast", lambda *args: None)
+        (default,) = outcomes
+        assert default == load_outcome(tmp_path)
+        if name in ("none", "out-of-order", "reversed", "crlf", "underscore",
+                    "quoted-field", "space", "no-final-newline"):
+            assert default == bundle_bytes(tiny_bundle())
+
+    @pytest.mark.parametrize("topology", ["ring", "random-geometric"])
+    def test_synth_bundle_taken_by_numpy_reader(self, tmp_path, monkeypatch, topology):
+        gen = SynthConfig(n_nodes=7, days=1, interval_minutes=30, topology=topology,
+                          incident_rate=2.0, regulation_rate=1.0)
+        bundle = synth_generate(gen, seed=3)
+        save_dataset(bundle, tmp_path)
+        fast = data._read_values_fast(tmp_path / "values.csv", 48, 7)
+        assert fast.tobytes() == bundle.values.tobytes()
+        assert load_outcome(tmp_path) == bundle_bytes(bundle)
+        monkeypatch.setattr(data, "_read_values_fast", lambda *args: None)
+        assert load_outcome(tmp_path) == bundle_bytes(bundle)
 
 
 class TestNormalization:
@@ -290,6 +432,44 @@ class TestSynthGenerate:
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigError, match="topology"):
             SynthConfig(topology="mobius-strip")
+
+    # sha256 of the files save_dataset writes for these configs at seed 1,
+    # pinned so that no speed-up of synth or save changes a byte.
+    GOLDEN = {
+        "ring": (dict(n_nodes=6, days=2, interval_minutes=60, incident_rate=1.0,
+                      regulation_rate=0.5, duration_steps=3, recovery_steps=2), {
+            "adjacency.csv": "5a9f0299f9fab9f094311680d9506251d7b762cae17f962a0caef175fe3d90ce",
+            "incidents.csv": "da0bb342d7f84acd2c9e9d24f21af63700ddccd772baf125515fcedbd9816280",
+            "meta.json": "a140e87a05383a0be266d7ba73ddf30e8d471b35059d95a902fafffd93b95e93",
+            "values.csv": "aada2689011ddcabd2448e62e5c6335c3cf83aff3e8d7f166ccd192746b930d7"}),
+        "grid": (dict(n_nodes=12, days=1, interval_minutes=30, incident_rate=1.5,
+                      regulation_rate=1.0, duration_steps=4, recovery_steps=3), {
+            "adjacency.csv": "0a89305d8c30b7437b3f2bbe567ee68d62dc597707171b0142b074899bc5da46",
+            "incidents.csv": "ff7128b49a0b6fe6e962093bcf86d376be233ffd413c7ca5def5cf6954cef9dd",
+            "meta.json": "6f07411644d31774709a7a5efeea6744401c1eb438d80e7bef40e9057a439d05",
+            "values.csv": "c312f7461433c25f1f90cd12c1e570983dec96eec8268a1722bd17e658a26944"}),
+        "random-geometric": (dict(n_nodes=10, days=1, interval_minutes=60,
+                                  incident_rate=2.0, regulation_rate=1.0,
+                                  duration_steps=4, recovery_steps=3), {
+            "adjacency.csv": "c7b9e90a1c04765d5585f29523aeeb6a7936373501cfc3ad9e147106443aeebc",
+            "incidents.csv": "3324e2a7a7812a705d478f86fcf99728b6afdd037c6fe88f5e9e61de8b069a5d",
+            "meta.json": "a861ec610015d9845e994afd3951fc8e386e746099421820a633c1becf9ed115",
+            "values.csv": "76a18ad122fc417bd8a3451ccfec5b6941dcf3fa314254f5002c6059bd47f2eb"}),
+    }
+
+    @pytest.mark.parametrize("topology", sorted(GOLDEN))
+    def test_golden_file_digests(self, tmp_path, topology):
+        config, digests = self.GOLDEN[topology]
+        bundle = synth_generate(SynthConfig(topology=topology, **config), seed=1)
+        assert (bundle.acc_ids == 2).any() and (bundle.reg_ids > 0).any()
+        save_dataset(bundle, tmp_path)
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+    def test_negative_durations_rejected(self):
+        for kw in (dict(duration_steps=-1), dict(recovery_steps=-2)):
+            with pytest.raises(ConfigError, match="duration_steps and recovery_steps"):
+                SynthConfig(**kw)
 
     def test_incident_window_filter(self):
         gen = SynthConfig(n_nodes=4, days=2, interval_minutes=30, incident_rate=2.0)

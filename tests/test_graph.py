@@ -28,6 +28,28 @@ class TestGraphSpec:
         with pytest.raises(ValidationError, match="duplicate"):
             GraphSpec(2, ((0, 1, 1.0), (0, 1, 2.0)))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        # A NaN weight used to pass and then zero the node's normalized row.
+        with pytest.raises(ValidationError, match=r"edge \(0, 1\) has non-finite weight"):
+            GraphSpec(2, ((1, 0, 1.0), (0, 1, weight)))
+
+    def test_adjacency_matches_edge_loop(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 4, 9):
+            g = random_graph(rng, n)
+            expected = np.zeros((n, n))
+            for src, dst, weight in g.edges:
+                expected[src, dst] = weight
+            assert g.adjacency().tobytes() == expected.tobytes()
+
+    def test_edge_arrays_do_not_affect_equality(self):
+        edges = ((0, 1, 1.0), (1, 0, 0.5))
+        assert GraphSpec(2, edges) == GraphSpec(2, edges)
+        assert hash(GraphSpec(2, edges)) == hash(GraphSpec(2, edges))
+        assert GraphSpec(2, edges) != GraphSpec(2, edges[:1])
+        assert "_arrays" not in repr(GraphSpec(2, edges))
+
 
 class TestNormalizeAdjacency:
     def test_self_loops_only_gives_identity(self):
@@ -60,6 +82,12 @@ class TestNormalizeAdjacency:
     def test_entries_bounded(self):
         with pytest.raises(ValidationError):
             PropagationOperator(np.array([[1.5, -0.5], [0.0, 1.0]]))
+
+    def test_tensor_built_once_from_matrix(self):
+        op = normalize_adjacency(GraphSpec(2, ((0, 1, 1.0),)))
+        tensor = op.as_tensor()
+        assert op.as_tensor() is tensor
+        assert np.array_equal(tensor.data, op.matrix)
 
 
 class TestPropagate:
