@@ -40,9 +40,9 @@ def conditional_qkv(x_gln: nm.Tensor, x_c: nm.Tensor,
         raise DimensionError(
             f"augmented width {augmented.shape[-1]} does not match W_K rows "
             f"{w.wk.shape[0]}")
-    q = nm.matmul(x_gln, w.wq) + w.bq
-    k = nm.matmul(augmented, w.wk) + w.bk
-    v = nm.matmul(augmented, w.wv) + w.bv
+    q = nm.affine(x_gln, w.wq, w.bq)
+    k = nm.affine(augmented, w.wk, w.bk)
+    v = nm.affine(augmented, w.wv, w.bv)
     return q, k, v
 
 
@@ -111,4 +111,4 @@ def fuse(x_sp: nm.Tensor, x_te: nm.Tensor, fuse_w: nm.Tensor,
         raise DimensionError(
             f"fused width {both.shape[-1]} does not match fuse weights "
             f"{fuse_w.shape[0]}")
-    return nm.matmul(both, fuse_w) + fuse_b
+    return nm.affine(both, fuse_w, fuse_b)

@@ -62,8 +62,8 @@ def generate_factors(x_c: nm.Tensor, gen: FactorGenerator) -> ConditionFactors:
         raise DimensionError(
             f"condition width {x_c.shape[-1]} does not match generator input "
             f"width {gen.in_width}")
-    hidden = nm.gelu(nm.matmul(x_c, gen.hidden_w) + gen.hidden_b)
-    raw = nm.matmul(hidden, gen.out_w) + gen.out_b
+    hidden = nm.gelu(nm.affine(x_c, gen.hidden_w, gen.hidden_b))
+    raw = nm.affine(hidden, gen.out_w, gen.out_b)
     d = gen.d_model
     gamma = nm.slice_last_axis(raw, 0, d) + 1.0
     beta = nm.slice_last_axis(raw, d, 2 * d)

@@ -147,10 +147,14 @@ def masked_metrics(y, y_hat) -> MaskedMetrics:
     n_valid = int(mask.sum())
     if n_valid == 0:
         return MaskedMetrics(math.nan, math.nan, math.nan, 0)
-    err = y_hat[mask] - y[mask]
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err * err).mean()))
-    mape = float((np.abs(err) / np.abs(y[mask])).mean() * 100.0)
+    # Two masked buffers, reused in place: |err| squares to err * err exactly.
+    y_valid, err = y[mask], y_hat[mask]
+    np.subtract(err, y_valid, out=err)
+    np.abs(err, out=err)
+    mae = float(err.mean())
+    np.abs(y_valid, out=y_valid)
+    mape = float(np.divide(err, y_valid, out=y_valid).mean() * 100.0)
+    rmse = float(np.sqrt(np.multiply(err, err, out=y_valid).mean()))
     return MaskedMetrics(mae=mae, rmse=rmse, mape=mape, n_valid=n_valid)
 
 
@@ -227,31 +231,56 @@ def _load_error(path, line_no, msg) -> LoadError:
     return LoadError(f"{path}:{line_no}: {msg}")
 
 
+def _bad_utf8_line(path) -> int:
+    """Line of the first byte of ``path`` that is not UTF-8. The text layer
+    decodes in blocks, so its error does not locate the byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return 1
+
+
+def _csv_rows(path, header: list[str]):
+    """``(line number, row)`` for each row of CSV file ``path`` after its
+    ``header`` line; undecodable bytes and CSV syntax errors become a
+    ``LoadError`` naming the file and line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise _load_error(path, 1, f"expected header {','.join(header)}, got {got}")
+            yield from enumerate(reader, start=2)
+        except UnicodeDecodeError as exc:
+            raise _load_error(path, _bad_utf8_line(path),
+                              f"not valid UTF-8: {exc.reason}") from exc
+        except csv.Error as exc:
+            raise _load_error(path, reader.line_num, f"malformed CSV: {exc}") from exc
+
+
 def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
     """The reference ``values.csv`` reader: one CSV row at a time, and the
     source of every ``values.csv`` error."""
     values = np.zeros((n_steps, n_nodes))
     seen = np.zeros((n_steps, n_nodes), dtype=bool)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "node", "value"]:
-            raise _load_error(path, 1, f"expected header t,node,value, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise _load_error(path, line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                t, n, v = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise _load_error(path, line_no, f"malformed row: {exc}") from exc
-            if not math.isfinite(v):
-                raise _load_error(path, line_no, f"non-finite value {row[2]!r}")
-            if not (0 <= t < n_steps and 0 <= n < n_nodes):
-                raise _load_error(path, line_no, f"(t={t}, node={n}) out of range")
-            if seen[t, n]:
-                raise _load_error(path, line_no, f"duplicate entry for (t={t}, node={n})")
-            seen[t, n] = True
-            values[t, n] = v
+    for line_no, row in _csv_rows(path, ["t", "node", "value"]):
+        if len(row) != 3:
+            raise _load_error(path, line_no, f"expected 3 fields, got {len(row)}")
+        try:
+            t, n, v = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise _load_error(path, line_no, f"malformed row: {exc}") from exc
+        if not math.isfinite(v):
+            raise _load_error(path, line_no, f"non-finite value {row[2]!r}")
+        if not (0 <= t < n_steps and 0 <= n < n_nodes):
+            raise _load_error(path, line_no, f"(t={t}, node={n}) out of range")
+        if seen[t, n]:
+            raise _load_error(path, line_no, f"duplicate entry for (t={t}, node={n})")
+        seen[t, n] = True
+        values[t, n] = v
     if not seen.all():
         t, n = np.argwhere(~seen)[0]
         raise LoadError(f"{path}: missing value for (t={t}, node={n})")
@@ -366,43 +395,33 @@ def load_dataset(data_dir) -> DatasetBundle:
     acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     ipath = paths[INCIDENTS_FILE]
-    with open(ipath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "node", "kind", "code"]:
-            raise _load_error(ipath, 1, f"expected header t,node,kind,code, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise _load_error(ipath, line_no, f"expected 4 fields, got {len(row)}")
-            try:
-                t, n, kind, code = int(row[0]), int(row[1]), row[2], int(row[3])
-            except ValueError as exc:
-                raise _load_error(ipath, line_no, f"malformed row: {exc}") from exc
-            if kind not in ("acc", "reg"):
-                raise _load_error(ipath, line_no, f"kind must be acc or reg, got '{kind}'")
-            if not (0 <= t < n_steps and 0 <= n < n_nodes):
-                raise _load_error(ipath, line_no, f"(t={t}, node={n}) out of range")
-            if not (1 <= code < len(vocabs[kind])):
-                raise _load_error(
-                    ipath, line_no,
-                    f"{kind} code {code} outside vocabulary of size {len(vocabs[kind])}")
-            target = acc_ids if kind == "acc" else reg_ids
-            target[t, n] = code
+    for line_no, row in _csv_rows(ipath, ["t", "node", "kind", "code"]):
+        if len(row) != 4:
+            raise _load_error(ipath, line_no, f"expected 4 fields, got {len(row)}")
+        try:
+            t, n, kind, code = int(row[0]), int(row[1]), row[2], int(row[3])
+        except ValueError as exc:
+            raise _load_error(ipath, line_no, f"malformed row: {exc}") from exc
+        if kind not in ("acc", "reg"):
+            raise _load_error(ipath, line_no, f"kind must be acc or reg, got '{kind}'")
+        if not (0 <= t < n_steps and 0 <= n < n_nodes):
+            raise _load_error(ipath, line_no, f"(t={t}, node={n}) out of range")
+        if not (1 <= code < len(vocabs[kind])):
+            raise _load_error(
+                ipath, line_no,
+                f"{kind} code {code} outside vocabulary of size {len(vocabs[kind])}")
+        target = acc_ids if kind == "acc" else reg_ids
+        target[t, n] = code
 
     edges = []
     apath = paths[ADJACENCY_FILE]
-    with open(apath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "weight"]:
-            raise _load_error(apath, 1, f"expected header src,dst,weight, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise _load_error(apath, line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                edges.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise _load_error(apath, line_no, f"malformed row: {exc}") from exc
+    for line_no, row in _csv_rows(apath, ["src", "dst", "weight"]):
+        if len(row) != 3:
+            raise _load_error(apath, line_no, f"expected 3 fields, got {len(row)}")
+        try:
+            edges.append((int(row[0]), int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise _load_error(apath, line_no, f"malformed row: {exc}") from exc
     try:
         graph = GraphSpec(n_nodes=n_nodes, edges=tuple(edges))
     except ValidationError as exc:

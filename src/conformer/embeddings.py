@@ -107,7 +107,7 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
     dow, tod = (np.broadcast_to(a[..., None], lead)
                 for a in time_indices(t0, t_len, tables.cal))
 
-    x_data = nm.matmul(x, tables.data_w) + tables.data_b
+    x_data = nm.affine(x, tables.data_w, tables.data_b)
     x_acc = nm.gather_rows(tables.acc_table, acc_ids)
     x_reg = nm.gather_rows(tables.reg_table, reg_ids)
     x_dow = nm.gather_rows(tables.dow_table, dow)
@@ -117,4 +117,4 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
         x_stae = nm.broadcast_to(x_stae, (x.shape[0],) + x_stae.shape)
 
     fused = nm.concat_last_axis([x_data, x_acc, x_reg, x_dow, x_tod, x_stae])
-    return nm.matmul(fused, tables.fuse_w) + tables.fuse_b
+    return nm.affine(fused, tables.fuse_w, tables.fuse_b)

@@ -71,7 +71,7 @@ class PropagationOperator:
         if matrix.min() < 0.0 or matrix.max() > 1.0:
             raise ValidationError("operator entries must lie in [0, 1]")
         row_sums = matrix.sum(axis=1)
-        ok = np.isclose(row_sums, 1.0, atol=1e-12) | (row_sums == 0.0)
+        ok = np.isclose(row_sums, 1.0, rtol=0.0, atol=1e-12) | (row_sums == 0.0)
         if not ok.all():
             raise ValidationError("operator rows must sum to 1 (or 0 for isolated nodes)")
         self.matrix = matrix

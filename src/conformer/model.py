@@ -285,9 +285,9 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
         x_res = modulated_residual(h, x_att, f_c.alpha)
 
         x_gln2 = gln(x_res, f_f, cfg.eps)
-        hidden = nm.gelu(nm.matmul(x_gln2, params[f"layer{i}.ff.w1"])
-                         + params[f"layer{i}.ff.b1"])
-        x_ff = nm.matmul(hidden, params[f"layer{i}.ff.w2"]) + params[f"layer{i}.ff.b2"]
+        hidden = nm.gelu(nm.affine(x_gln2, params[f"layer{i}.ff.w1"],
+                                   params[f"layer{i}.ff.b1"]))
+        x_ff = nm.affine(hidden, params[f"layer{i}.ff.w2"], params[f"layer{i}.ff.b2"])
         x_ff = _dropout(x_ff, cfg.dropout, dropout_rng)
         h = modulated_residual(x_res, x_ff, f_f.alpha)
 
@@ -299,7 +299,7 @@ def readout(h: nm.Tensor, params: ConFormerParams, cfg: ConFormerConfig) -> nm.T
     # [..., T, N, D] -> [..., N, T, D] -> [..., N, T*D] -> [..., N, T'] -> [..., T', N, 1]
     moved = nm.moveaxis(h, -3, -2)
     flat = nm.reshape(moved, moved.shape[:-2] + (cfg.t_in * cfg.d_model,))
-    pred = nm.matmul(flat, params["readout.w"]) + params["readout.b"]
+    pred = nm.affine(flat, params["readout.w"], params["readout.b"])
     pred = nm.moveaxis(pred, -1, -2)
     return nm.reshape(pred, pred.shape + (1,))
 

@@ -2,8 +2,19 @@
 
 Every primitive records its parents and a vector-Jacobian product, so any
 scalar built from Tensor ops can be differentiated with ``backward``.
-Values are checked for NaN/Inf after every primitive; a non-finite result
-raises ``NumericsError`` instead of propagating silently.
+Values are checked for NaN/Inf after every arithmetic primitive; a
+non-finite result raises ``NumericsError`` instead of propagating silently.
+The structural primitives (``reshape``, ``transpose``/``moveaxis``,
+``slice_last_axis``, ``concat_last_axis``, ``gather_rows`` and
+``broadcast_to``) only rearrange values of tensors already checked, so they
+skip the check.
+
+``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
+tape instead of two, with the gradients of the matmul-plus-add composite.
+
+``backward`` walks only the nodes that reach a parameter and drops each
+interior gradient as soon as its node's VJP has used it, so the reverse
+pass holds a few gradients at a time rather than one per node.
 """
 
 from __future__ import annotations
@@ -30,6 +41,13 @@ def _check_finite(arr: Array, op: str) -> Array:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite value produced by '{op}'")
     return arr
+
+
+def _structural(data: Array, parents: tuple, vjp: Callable) -> "Tensor":
+    """A node whose values are rearranged from finite parents: no check."""
+    node = Tensor.__new__(Tensor)
+    node.data, node._parents, node._vjp = data, parents, vjp
+    return node
 
 
 class Tensor:
@@ -160,23 +178,51 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product: ``a[..., m, k] @ b[..., k, n]``."""
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     if not _broadcastable(a.shape[:-2], b.shape[:-2]):
         raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
+
+
+def _matmul_vjp(grad: Array, a: Tensor, b: Tensor) -> tuple[Array, Array]:
+    ga = _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
+    return ga, gb
+
+
+def matmul(a, b) -> Tensor:
+    """Batched matrix product: ``a[..., m, k] @ b[..., k, n]``."""
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
     out_data = a.data @ b.data
 
     def vjp(grad: Array):
-        ga = _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
-        return ga, gb
+        return _matmul_vjp(grad, a, b)
 
     return Tensor(out_data, (a, b), vjp, "matmul")
+
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node; bitwise equal to ``matmul(x, w) + b``.
+
+    ``b`` is added in place to the fresh product, so the tape holds one
+    output array where the composite holds two.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul(x, w)
+    out_data = x.data @ w.data
+    if b.ndim > out_data.ndim or any(n not in (1, m) for n, m in
+                                     zip(b.shape[::-1], out_data.shape[::-1])):
+        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {out_data.shape}")
+    out_data += b.data
+
+    def vjp(grad: Array):
+        return _matmul_vjp(grad, x, w) + (_unbroadcast(grad, b.shape),)
+
+    return Tensor(out_data, (x, w, b), vjp, "affine")
 
 
 def transpose(x, axes: Sequence[int]) -> Tensor:
@@ -187,7 +233,7 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (grad.transpose(inv),)
 
-    return Tensor(x.data.transpose(axes), (x,), vjp, "transpose")
+    return _structural(x.data.transpose(axes), (x,), vjp)
 
 
 def moveaxis(x, src: int, dst: int) -> Tensor:
@@ -205,7 +251,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (grad.reshape(old),)
 
-    return Tensor(x.data.reshape(shape), (x,), vjp, "reshape")
+    return _structural(x.data.reshape(shape), (x,), vjp)
 
 
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
@@ -218,7 +264,7 @@ def broadcast_to(x, shape: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (_unbroadcast(grad, old),)
 
-    return Tensor(np.broadcast_to(x.data, shape).copy(), (x,), vjp, "broadcast_to")
+    return _structural(np.broadcast_to(x.data, shape).copy(), (x,), vjp)
 
 
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -303,8 +349,7 @@ def concat_last_axis(parts: Iterable) -> Tensor:
     def vjp(grad: Array):
         return tuple(np.split(grad, splits, axis=-1))
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=-1),
-                  tuple(parts), vjp, "concat")
+    return _structural(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
 def slice_last_axis(x, start: int, stop: int) -> Tensor:
@@ -319,7 +364,8 @@ def slice_last_axis(x, start: int, stop: int) -> Tensor:
         full[..., start:stop] = grad
         return (full,)
 
-    return Tensor(x.data[..., start:stop].copy(), (x,), vjp, "slice")
+    # A view: ``x`` is on the tape already and tensor data is never mutated.
+    return _structural(x.data[..., start:stop], (x,), vjp)
 
 
 def gather_rows(table, ids: Array) -> Tensor:
@@ -344,7 +390,7 @@ def gather_rows(table, ids: Array) -> Tensor:
         np.add.at(g, ids.reshape(-1), grad.reshape(-1, table.shape[1]))
         return (g,)
 
-    return Tensor(table.data[ids], (table,), vjp, "gather")
+    return _structural(table.data[ids], (table,), vjp)
 
 
 def mean_std_last_axis(x, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
@@ -373,6 +419,11 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
 
     Parameters not reachable from ``loss`` get a zero gradient of matching
     shape. The returned record maps each name to exactly one array.
+
+    Only nodes that reach a parameter get a gradient, and a VJP runs only on
+    a node with such a parent. Each interior gradient is dropped once its
+    node's VJP has used it; only the parameters' gradients are kept, leaves
+    or not.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -393,17 +444,33 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # Parents precede children in ``topo``: a node reaches a parameter when
+    # it is one or one of its parents does; ``flows`` holds the nodes whose
+    # VJP has a parent to feed.
+    wanted = {id(p) for p in params.values()}
+    reaches: set[int] = set()
+    flows: set[int] = set()
+    for node in topo:
+        if any(id(parent) in reaches for parent in node._parents):
+            flows.add(id(node))
+            reaches.add(id(node))
+        elif id(node) in wanted:
+            reaches.add(id(node))
+
     grads: dict[int, Array] = {id(loss): np.ones(loss.shape)}
     for node in reversed(topo):
-        grad = grads.get(id(node))
-        if grad is None or node._vjp is None:
+        key = id(node)
+        if key not in flows or key not in grads:
             continue
+        grad = grads[key] if key in wanted else grads.pop(key)
         for parent, pgrad in zip(node._parents, node._vjp(grad)):
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pgrad
+            pkey = id(parent)
+            if pkey not in reaches:
+                continue
+            if pkey in grads:
+                grads[pkey] = grads[pkey] + pgrad
             else:
-                grads[key] = pgrad
+                grads[pkey] = pgrad
 
     record: dict[str, Array] = {}
     for name, p in params.items():

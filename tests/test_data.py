@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -115,6 +116,20 @@ class TestRoundTrip:
         lines[3] = f"1,0,{text}"
         vals.write_text("\n".join(lines) + "\n")
         with pytest.raises(LoadError, match=r"values\.csv:4: non-finite value"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, line_no, text, error", [
+        ("values.csv", 4, b"1,0,\xff", "not valid UTF-8"),
+        ("incidents.csv", 2, b"\xff", "not valid UTF-8"),
+        ("values.csv", 4, b"1,0," + b"1" * 200_000, "malformed CSV: field larger"),
+    ], ids=["values-utf8", "incidents-utf8", "values-field-limit"])
+    def test_bad_bytes_name_file_and_line(self, tmp_path, name, line_no, text, error):
+        save_dataset(tiny_bundle(), tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines()
+        lines[line_no - 1] = text
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(LoadError, match=rf"{re.escape(name)}:{line_no}: {error}"):
             load_dataset(tmp_path)
 
     def test_non_finite_weight_rejected(self, tmp_path):

@@ -83,6 +83,11 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValidationError):
             PropagationOperator(np.array([[1.5, -0.5], [0.0, 1.0]]))
 
+    def test_row_sum_off_by_five_millionths_rejected(self):
+        # Within numpy's default relative tolerance, far outside 1e-12.
+        with pytest.raises(ValidationError, match="rows must sum to 1"):
+            PropagationOperator(np.array([[0.5, 0.500005], [0.5, 0.5]]))
+
     def test_tensor_built_once_from_matrix(self):
         op = normalize_adjacency(GraphSpec(2, ((0, 1, 1.0),)))
         tensor = op.as_tensor()

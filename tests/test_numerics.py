@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,10 +105,50 @@ class TestConcatSlice:
         assert np.array_equal(nm.slice_last_axis(joined, 0, 3).data, a)
         assert np.array_equal(nm.slice_last_axis(joined, 3, 8).data, b)
 
+    def test_slice_is_a_view(self):
+        x = nm.Tensor(np.arange(12.0).reshape(3, 4))
+        assert np.shares_memory(nm.slice_last_axis(x, 1, 3).data, x.data)
+
     def test_leading_shape_mismatch(self):
         with pytest.raises(DimensionError):
             nm.concat_last_axis([nm.Tensor(np.zeros((2, 3))),
                                  nm.Tensor(np.zeros((3, 3)))])
+
+
+class TestAffine:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+    def test_matches_matmul_add_bitwise(self, x_shape):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=(4, 6)), rng.normal(size=6)
+        weights = rng.normal(size=x_shape[:-1] + (6,))
+
+        def run(build):
+            params = {"x": nm.Tensor(x), "w": nm.Tensor(w), "b": nm.Tensor(b)}
+            out = build(*params.values())
+            grads = nm.backward(nm.tsum(out * nm.Tensor(weights)), params)
+            return [out.data.tobytes()] + [grads[k].tobytes() for k in params]
+
+        assert run(nm.affine) == run(lambda x, w, b: nm.matmul(x, w) + b)
+
+    def test_bias_must_fit_output(self):
+        with pytest.raises(DimensionError, match="bias"):
+            nm.affine(nm.Tensor(np.zeros((3, 2))), nm.Tensor(np.zeros((2, 1))),
+                      nm.Tensor(np.zeros(4)))
+
+
+def _backward_peak_bytes(depth: int, size: int = 10**6) -> int:
+    """tracemalloc peak of ``backward`` over a ``depth``-op mul/add chain."""
+    p = nm.Tensor(np.random.default_rng(0).normal(size=size))
+    x = p
+    for _ in range(depth // 2):
+        x = x * 1.0001 + 0.5
+    loss = nm.tsum(x)
+    tracemalloc.start()
+    try:
+        nm.backward(loss, {"p": p})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBackward:
@@ -135,6 +177,29 @@ class TestBackward:
         p = nm.Tensor([3.0])
         record = nm.backward(nm.tsum(p + p), {"p": p})
         assert np.array_equal(record["p"], [2.0])
+
+    def test_interior_param_gets_gradient(self):
+        p = nm.Tensor([1.0, -2.0])
+        h = p * 3.0
+        record = nm.backward(nm.tsum(h * h), {"p": p, "h": h})
+        assert np.array_equal(record["h"], [6.0, -12.0])
+        assert np.array_equal(record["p"], [18.0, -36.0])
+
+    def test_vjp_off_the_parameter_path_never_runs(self):
+        p = nm.Tensor([1.0, 2.0])
+        const = nm.Tensor([3.0, 4.0]) * 2.0
+
+        def fail(grad):
+            raise AssertionError("VJP of a node that reaches no parameter ran")
+
+        const._vjp = fail
+        record = nm.backward(nm.tsum(p * const), {"p": p})
+        assert np.array_equal(record["p"], [6.0, 8.0])
+
+    def test_peak_memory_flat_in_depth(self):
+        # Consumed gradients are dropped: 40 ops peak like 4, within one array.
+        shallow, deep = _backward_peak_bytes(4), _backward_peak_bytes(40)
+        assert deep < shallow + 8 * 10**6, (shallow, deep)
 
 
 def _fd_check(build, tensors, seed, tol=1e-4):
@@ -178,6 +243,12 @@ class TestPrimitiveGradients:
         a = rng.uniform(-3, 3, size=(2, 3, 4))
         b = rng.uniform(-3, 3, size=(4, 5))
         _fd_check(nm.matmul, [a, b], seed=3)
+
+    def test_affine(self):
+        rng = np.random.default_rng(20)
+        _fd_check(nm.affine, [rng.uniform(-3, 3, size=(2, 3, 4)),
+                              rng.uniform(-3, 3, size=(4, 5)),
+                              rng.uniform(-3, 3, size=(5,))], seed=18)
 
     def test_transpose_reshape_broadcast(self):
         rng = np.random.default_rng(13)
