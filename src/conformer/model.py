@@ -213,7 +213,7 @@ def _dropout(x: nm.Tensor, rate: float, rng: np.random.Generator | None) -> nm.T
         return x
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep) / keep
-    return x * nm.Tensor(mask)
+    return x * mask
 
 
 def _ablate(cfg: ConFormerConfig, params: ConFormerParams, ln: str,

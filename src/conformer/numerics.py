@@ -12,14 +12,31 @@ skip the check.
 ``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
 tape instead of two, with the gradients of the matmul-plus-add composite.
 
+``softmax_last_axis(x, scale)`` is ``softmax(x * scale)`` in one owned
+buffer, forward and VJP, with the op order of the ``mul``-then-softmax
+composite, so attention keeps two ``[.., N, N]`` arrays per call on the tape
+instead of three. ``gelu`` likewise works in one buffer per pass.
+
+An operand passed as a plain array or Python scalar can never be a
+parameter, so the arithmetic primitives give it no gradient (``None`` in its
+VJP slot) instead of a full-size product or reduction.
+
 ``backward`` walks only the nodes that reach a parameter and drops each
 interior gradient as soon as its node's VJP has used it, so the reverse
 pass holds a few gradients at a time rather than one per node.
+
+Inside ``with no_tape():`` (per thread) a node keeps its data and its
+finiteness check but gets no parents, and a stub that raises stands in for
+its VJP, so each intermediate is freed as soon as Python drops it.
+Inference runs this way; ``backward`` on a loss built there raises
+``ContractError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -43,10 +60,36 @@ def _check_finite(arr: Array, op: str) -> Array:
     return arr
 
 
+_TAPE = threading.local()
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Build nodes without parents or VJPs in this thread, for inference."""
+    was_off = getattr(_TAPE, "off", False)
+    _TAPE.off = True
+    try:
+        yield
+    finally:
+        _TAPE.off = was_off
+
+
+def _untaped(grad: Array):
+    raise ContractError("this node was built under no_tape and has no VJP")
+
+
+def _link(node: "Tensor", parents: tuple, vjp: Callable | None) -> None:
+    """Record a node's parents and VJP; under ``no_tape`` it keeps neither."""
+    if parents and getattr(_TAPE, "off", False):
+        parents, vjp = (), _untaped
+    node._parents, node._vjp = parents, vjp
+
+
 def _structural(data: Array, parents: tuple, vjp: Callable) -> "Tensor":
     """A node whose values are rearranged from finite parents: no check."""
     node = Tensor.__new__(Tensor)
-    node.data, node._parents, node._vjp = data, parents, vjp
+    node.data = data
+    _link(node, parents, vjp)
     return node
 
 
@@ -63,8 +106,7 @@ class Tensor:
     def __init__(self, values, _parents: tuple = (), _vjp: Callable | None = None,
                  _op: str = "tensor"):
         self.data = _check_finite(_as_array(values), _op)
-        self._parents = _parents
-        self._vjp = _vjp
+        _link(self, _parents, _vjp)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -140,14 +182,16 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def _binary(a, b, op: str, fwd, vjp_a, vjp_b) -> Tensor:
+    # A plain array or scalar operand is a constant: it gets no gradient.
+    const_a, const_b = not isinstance(a, Tensor), not isinstance(b, Tensor)
     a, b = as_tensor(a), as_tensor(b)
     if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
     out_data = fwd(a.data, b.data)
 
     def vjp(grad: Array):
-        return (_unbroadcast(vjp_a(grad, a.data, b.data), a.shape),
-                _unbroadcast(vjp_b(grad, a.data, b.data), b.shape))
+        return (None if const_a else _unbroadcast(vjp_a(grad, a.data, b.data), a.shape),
+                None if const_b else _unbroadcast(vjp_b(grad, a.data, b.data), b.shape))
 
     return Tensor(out_data, (a, b), vjp, op)
 
@@ -307,29 +351,53 @@ def absolute(x) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Exact (erf-based) GELU; smooth, so finite differences stay honest."""
+    """Exact (erf-based) GELU; smooth, so finite differences stay honest.
+
+    Each pass works in one buffer (``cdf`` forward, ``pdf`` in the VJP) with
+    the op order of ``0.5 * (1 + erf(x / sqrt 2))`` and
+    ``grad * (cdf + x * pdf)``.
+    """
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(grad: Array):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (grad * (cdf + x.data * pdf),)
+        pdf = -0.5 * x.data
+        pdf *= x.data
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT2PI
+        pdf *= x.data
+        pdf += cdf
+        pdf *= grad
+        return (pdf,)
 
     return Tensor(x.data * cdf, (x,), vjp, "gelu")
 
 
-def softmax_last_axis(x) -> Tensor:
-    """Numerically stable softmax over the last axis (max-subtraction)."""
+def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
+    """Numerically stable ``softmax(x * scale)`` over the last axis.
+
+    The scaling, max-shift, ``exp`` and division run in one owned buffer;
+    the VJP reuses one buffer and applies ``scale`` last. Both are bitwise
+    equal to ``softmax_last_axis(x * scale)``.
+    """
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_last_axis: empty last axis in shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = x.data * scale
+    out_data -= out_data.max(axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def vjp(grad: Array):
-        inner = (grad * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (grad - inner),)
+        g = grad * out_data
+        inner = g.sum(axis=-1, keepdims=True)
+        np.subtract(grad, inner, out=g)
+        g *= out_data
+        g *= scale
+        return (g,)
 
     return Tensor(out_data, (x,), vjp, "softmax")
 
@@ -427,6 +495,10 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss._vjp is not None and not loss._parents:
+        # Only a node built under no_tape has a VJP slot but no parents.
+        raise ContractError("backward: the loss was built under no_tape, so there "
+                            "is no tape to differentiate")
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -465,7 +537,7 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
         grad = grads[key] if key in wanted else grads.pop(key)
         for parent, pgrad in zip(node._parents, node._vjp(grad)):
             pkey = id(parent)
-            if pkey not in reaches:
+            if pgrad is None or pkey not in reaches:
                 continue
             if pkey in grads:
                 grads[pkey] = grads[pkey] + pgrad

@@ -126,8 +126,8 @@ def masked_mae_loss(pred: nm.Tensor, target: np.ndarray,
     if n_valid == 0:
         return None
     denorm = pred * stats.std + stats.mean
-    err = nm.absolute(denorm - nm.Tensor(target))
-    return nm.tsum(err * nm.Tensor(mask)) * (1.0 / n_valid)
+    err = nm.absolute(denorm - target)
+    return nm.tsum(err * mask) * (1.0 / n_valid)
 
 
 def _gather(bundle: DatasetBundle, t0s: np.ndarray, t_in: int,
@@ -139,19 +139,36 @@ def _gather(bundle: DatasetBundle, t0s: np.ndarray, t_in: int,
     return stats.apply(x)[..., None], acc, reg
 
 
+def _thread_count() -> int:
+    """Worker threads for evaluation from ``CONFORMER_THREADS`` (default 1)."""
+    raw = os.environ.get("CONFORMER_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"CONFORMER_THREADS must be an integer >= 1, got {raw!r}")
+    return n
+
+
 def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
                     windows, stats: NormalizationStats,
                     batch_size: int = 64) -> np.ndarray:
-    """Denormalized forecasts for a sequence of window starts, [W, T', N, 1]."""
+    """Denormalized forecasts for a sequence of window starts, [W, T', N, 1].
+
+    Each batch runs under ``nm.no_tape``: nothing is differentiated, so every
+    intermediate is freed as soon as the forward pass drops it.
+    """
     cfg = params.cfg
     op = normalize_adjacency(bundle.graph)
-    n_workers = max(1, int(os.environ.get("CONFORMER_THREADS", "1")))
+    n_workers = _thread_count()
     t0s = np.asarray(windows, dtype=np.int64)
     batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
 
     def run(starts: np.ndarray) -> np.ndarray:
         x, acc, reg = _gather(bundle, starts, cfg.t_in, stats)
-        pred = forward(x, acc, reg, starts, op, params, cfg)
+        with nm.no_tape():
+            pred = forward(x, acc, reg, starts, op, params, cfg)
         return stats.invert(pred.data)
 
     if n_workers > 1 and len(batches) > 1:

@@ -138,6 +138,45 @@ class TestSpatialAttention:
         assert np.abs(base[:, perm] - permuted).max() <= 1e-12
 
 
+def _attend_composite(q, k, v, n_heads):
+    """Reference attention: the scale is a separate ``mul`` before softmax."""
+    def split(t):
+        d = t.shape[-1]
+        return nm.moveaxis(nm.reshape(t, t.shape[:-1] + (n_heads, d // n_heads)), -2, -3)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = nm.matmul(qh, nm.moveaxis(kh, -1, -2))
+    weights = nm.softmax_last_axis(scores * (1.0 / np.sqrt(qh.shape[-1])))
+    merged = nm.moveaxis(nm.matmul(weights, vh), -3, -2)
+    return nm.reshape(merged, merged.shape[:-2] + (q.shape[-1],))
+
+
+def _temporal_composite(q, k, v, n_heads):
+    swap = lambda t: nm.moveaxis(t, -3, -2)
+    return swap(_attend_composite(swap(q), swap(k), swap(v), n_heads))
+
+
+class TestScaledSoftmaxAttention:
+    """The folded scale is bitwise equal to the mul-then-softmax composite."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_value_and_gradients_bitwise(self, layout, n_heads):
+        fast, reference = {"spatial": (spatial_attention, _attend_composite),
+                           "temporal": (temporal_attention, _temporal_composite)}[layout]
+        rng = np.random.default_rng(11 + n_heads)
+        qkv = [rng.normal(size=(2, 3, 5, 8)) for _ in range(3)]
+        weights = rng.normal(size=(2, 3, 5, 8))
+
+        def run(attend):
+            params = {name: nm.Tensor(a) for name, a in zip("qkv", qkv)}
+            out = attend(*params.values(), n_heads)
+            grads = nm.backward(nm.tsum(out * weights), params)
+            return [out.data.tobytes()] + [grads[n].tobytes() for n in "qkv"]
+
+        assert run(fast) == run(reference)
+
+
 class TestTemporalAttention:
     def test_single_step_returns_v(self):
         rng = np.random.default_rng(8)

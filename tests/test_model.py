@@ -106,6 +106,18 @@ class TestForward:
                              params, cfg).data
             assert np.abs(out[i] - single).max() <= 1e-12
 
+    def test_no_tape_forward_bitwise(self):
+        cfg = tiny_cfg(n_layers=2)
+        params = init_params(cfg, seed=4)
+        rng = np.random.default_rng(6)
+        params.replace({n: rng.normal(0, 0.2, t.shape) for n, t in params.entries()})
+        x, acc, reg, graph = tiny_inputs(cfg)
+        taped = forward(x, acc, reg, 3, graph, params, cfg)
+        with nm.no_tape():
+            untaped = forward(x, acc, reg, 3, graph, params, cfg)
+        assert untaped.data.tobytes() == taped.data.tobytes()
+        assert taped._parents and untaped._parents == ()
+
     def test_shape_mismatch_rejected(self):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=1)

@@ -1,7 +1,9 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conformer import numerics as nm
 from conformer.errors import ContractError, DimensionError, NumericsError
@@ -65,6 +67,32 @@ class TestSoftmax:
     def test_empty_axis_rejected(self):
         with pytest.raises(DimensionError):
             nm.softmax_last_axis(nm.Tensor(np.zeros((2, 0))))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / np.sqrt(3.0), 2.5])
+    def test_matches_reference_formula_bitwise(self, scale):
+        # The formula of the mul-then-softmax composite, written out in numpy.
+        rng = np.random.default_rng(21)
+        x, grad = rng.normal(scale=3.0, size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
+        scaled = x * np.float64(scale)
+        e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+        out = e / e.sum(axis=-1, keepdims=True)
+        inner = (grad * out).sum(axis=-1, keepdims=True)
+        expected_grad = (out * (grad - inner)) * np.float64(scale)
+
+        node = nm.softmax_last_axis(nm.Tensor(x), scale)
+        assert node.data.tobytes() == out.tobytes()
+        assert node._vjp(grad)[0].tobytes() == expected_grad.tobytes()
+
+
+class TestGelu:
+    def test_matches_reference_formula_bitwise(self):
+        rng = np.random.default_rng(22)
+        x, grad = rng.normal(scale=2.0, size=(3, 4, 5)), rng.normal(size=(3, 4, 5))
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+        node = nm.gelu(nm.Tensor(x))
+        assert node.data.tobytes() == (x * cdf).tobytes()
+        assert node._vjp(grad)[0].tobytes() == (grad * (cdf + x * pdf)).tobytes()
 
 
 class TestMeanStd:
@@ -201,6 +229,95 @@ class TestBackward:
         shallow, deep = _backward_peak_bytes(4), _backward_peak_bytes(40)
         assert deep < shallow + 8 * 10**6, (shallow, deep)
 
+    def test_constant_operand_gets_no_gradient(self):
+        p = nm.Tensor([1.0, -2.0])
+        arr = np.array([3.0, 4.0])
+        grad = np.array([0.5, 2.0])
+        assert nm.mul(p, arr)._vjp(grad)[1] is None
+        assert nm.sub(p, arr)._vjp(grad)[1] is None
+        assert (p + 2.0)._vjp(grad)[1] is None
+        assert (3.0 - p)._vjp(grad)[0] is None
+        assert (1.0 / p)._vjp(grad)[0] is None
+        # A Tensor operand still gets its gradient, and so does ``p``.
+        g_p, g_t = nm.mul(p, nm.Tensor(arr))._vjp(grad)
+        assert np.array_equal(g_p, grad * arr) and np.array_equal(g_t, grad * p.data)
+        record = nm.backward(nm.tsum(p * arr - 1.0), {"p": p})
+        assert np.array_equal(record["p"], arr)
+
+
+def _chain_peak_bytes(depth: int, size: int = 10**6) -> int:
+    """tracemalloc peak of building a ``depth``-op mul/add chain under no_tape."""
+    x = nm.Tensor(np.random.default_rng(0).normal(size=size))
+    tracemalloc.start()
+    try:
+        with nm.no_tape():
+            for _ in range(depth // 2):
+                x = x * 1.0001 + 0.5
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoTape:
+    def test_leaves_and_finite_check_unchanged(self):
+        with nm.no_tape():
+            leaf = nm.Tensor([1.0, 2.0])
+            with pytest.raises(NumericsError):
+                nm.div(leaf, nm.Tensor([1.0, 0.0]))
+        assert leaf._vjp is None
+        record = nm.backward(nm.tsum(leaf * leaf), {"leaf": leaf})
+        assert np.array_equal(record["leaf"], [2.0, 4.0])
+
+    def test_backward_on_untaped_loss_rejected(self):
+        p = nm.Tensor([1.0, 2.0])
+        with nm.no_tape():
+            loss = nm.tsum(p * p)
+        with pytest.raises(ContractError, match="no_tape"):
+            nm.backward(loss, {"p": p})
+
+    def test_thread_local(self):
+        p = nm.Tensor([1.0, 2.0])
+        taped = {}
+
+        def build(key):
+            taped[key] = bool((p * 2.0)._parents)
+
+        def build_untaped(key):
+            with nm.no_tape():
+                build(key)
+
+        def in_thread(fn, key):
+            worker = threading.Thread(target=fn, args=(key,))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+
+        with nm.no_tape():
+            in_thread(build, "worker while main is untaped")
+            build("main untaped")
+        in_thread(build_untaped, "worker untaped")
+        build("main after")
+        assert taped == {"worker while main is untaped": True, "main untaped": False,
+                         "worker untaped": False, "main after": True}
+
+    def test_restored_after_exception(self):
+        p = nm.Tensor([1.0])
+        with pytest.raises(NumericsError):
+            with nm.no_tape():
+                with nm.no_tape():
+                    nm.div(p, 0.0)
+        assert (p * 2.0)._parents[0] is p
+        with nm.no_tape():
+            with pytest.raises(NumericsError):
+                with nm.no_tape():
+                    nm.div(p, 0.0)
+            assert (p * 2.0)._parents == ()
+
+    def test_peak_memory_flat_in_depth(self):
+        # Nothing keeps an intermediate alive: 40 ops peak like 4.
+        shallow, deep = _chain_peak_bytes(4), _chain_peak_bytes(40)
+        assert deep < shallow + 8 * 10**6, (shallow, deep)
+
 
 def _fd_check(build, tensors, seed, tol=1e-4):
     """Compare analytic gradients of sum(weights * build(tensors)) to FD."""
@@ -276,6 +393,8 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(16)
         a = rng.uniform(-4, 4, size=(3, 5))
         _fd_check(nm.softmax_last_axis, [a], seed=12)
+        _fd_check(lambda x: nm.softmax_last_axis(x, 0.37), [a], seed=19)
+        _fd_check(lambda x: nm.softmax_last_axis(x, 2.5), [a], seed=20)
 
     def test_concat_slice(self):
         rng = np.random.default_rng(17)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conformer import numerics as nm
+from conformer import trainer
 from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
                             chronological_split, make_windows, synth_generate)
 from conformer.errors import ConfigError
@@ -198,7 +199,32 @@ class TestEvaluate:
         split = chronological_split(bundle.n_steps)
         windows = make_windows(bundle, split.test, cfg.t_in, cfg.t_out)
         stats = NormalizationStats(50.0, 10.0)
-        seq = predict_windows(params, bundle, windows, stats, batch_size=4)
+        assert len(windows) > 2   # at least two batches, so the pool runs
+        seq = predict_windows(params, bundle, windows, stats, batch_size=2)
         monkeypatch.setenv("CONFORMER_THREADS", "3")
-        par = predict_windows(params, bundle, windows, stats, batch_size=4)
+        par = predict_windows(params, bundle, windows, stats, batch_size=2)
         assert np.array_equal(seq, par)
+
+    def test_prediction_keeps_no_tape(self, monkeypatch):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        params = init_params(cfg, seed=2)
+        outputs = []
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(trainer, "forward", recording_forward)
+        predict_windows(params, bundle, [0, 1, 2], NormalizationStats(50.0, 10.0),
+                        batch_size=2)
+        assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-2"])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        params = init_params(cfg, seed=2)
+        monkeypatch.setenv("CONFORMER_THREADS", value)
+        with pytest.raises(ConfigError, match="CONFORMER_THREADS"):
+            predict_windows(params, bundle, [0, 1], NormalizationStats(50.0, 10.0))
