@@ -9,40 +9,25 @@ from . import numerics as nm
 from .errors import DimensionError
 
 
-class AttentionProjections:
-    """Named Q/K/V and fusion parameters for one layer.
+def conditional_qkv(x_gln: nm.Tensor, x_c: nm.Tensor, params,
+                    prefix: str) -> tuple[nm.Tensor, nm.Tensor, nm.Tensor]:
+    """Condition-augmented projections: Q from x_gln, K/V from [x_gln || x_c].
 
-    Q is projected from the normalized input alone; K and V see the
-    condition features appended, so conditioning enters attention only
-    through keys and values.
+    Reads ``{prefix}.wq/bq/wk/bk/wv/bv``; conditioning enters only K and V.
     """
-
-    def __init__(self, params: dict[str, nm.Tensor], prefix: str):
-        self.wq = params[f"{prefix}.wq"]
-        self.bq = params[f"{prefix}.bq"]
-        self.wk = params[f"{prefix}.wk"]
-        self.bk = params[f"{prefix}.bk"]
-        self.wv = params[f"{prefix}.wv"]
-        self.bv = params[f"{prefix}.bv"]
-        self.fuse_w = params[f"{prefix}.fuse.w"]
-        self.fuse_b = params[f"{prefix}.fuse.b"]
-
-
-def conditional_qkv(x_gln: nm.Tensor, x_c: nm.Tensor,
-                    w: AttentionProjections) -> tuple[nm.Tensor, nm.Tensor, nm.Tensor]:
-    """Condition-augmented projections: Q from x_gln, K/V from [x_gln || x_c]."""
     x_gln, x_c = nm.as_tensor(x_gln), nm.as_tensor(x_c)
-    if x_gln.shape[-1] != w.wq.shape[0]:
+    wq, wk, wv = (params[f"{prefix}.w{n}"] for n in "qkv")
+    if x_gln.shape[-1] != wq.shape[0]:
         raise DimensionError(
-            f"input width {x_gln.shape[-1]} does not match W_Q rows {w.wq.shape[0]}")
+            f"input width {x_gln.shape[-1]} does not match W_Q rows {wq.shape[0]}")
     augmented = nm.concat_last_axis([x_gln, x_c])
-    if augmented.shape[-1] != w.wk.shape[0]:
+    if augmented.shape[-1] != wk.shape[0]:
         raise DimensionError(
             f"augmented width {augmented.shape[-1]} does not match W_K rows "
-            f"{w.wk.shape[0]}")
-    q = nm.affine(x_gln, w.wq, w.bq)
-    k = nm.affine(augmented, w.wk, w.bk)
-    v = nm.affine(augmented, w.wv, w.bv)
+            f"{wk.shape[0]}")
+    q = nm.affine(x_gln, wq, params[f"{prefix}.bq"])
+    k = nm.affine(augmented, wk, params[f"{prefix}.bk"])
+    v = nm.affine(augmented, wv, params[f"{prefix}.bv"])
     return q, k, v
 
 
@@ -100,15 +85,16 @@ def temporal_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
     return nm.moveaxis(out, -3, -2)
 
 
-def fuse(x_sp: nm.Tensor, x_te: nm.Tensor, fuse_w: nm.Tensor,
-         fuse_b: nm.Tensor) -> nm.Tensor:
-    """Blend the spatial and temporal branches: ``MLP(x_sp || x_te)``."""
+def fuse(x_sp: nm.Tensor, x_te: nm.Tensor, params, prefix: str) -> nm.Tensor:
+    """Blend the spatial and temporal branches: ``MLP(x_sp || x_te)``, reading
+    ``{prefix}.w`` and ``{prefix}.b``."""
     x_sp, x_te = nm.as_tensor(x_sp), nm.as_tensor(x_te)
     if x_sp.shape != x_te.shape:
         raise DimensionError(f"branch shapes differ: {x_sp.shape} vs {x_te.shape}")
     both = nm.concat_last_axis([x_sp, x_te])
+    fuse_w = params[f"{prefix}.w"]
     if both.shape[-1] != fuse_w.shape[0]:
         raise DimensionError(
             f"fused width {both.shape[-1]} does not match fuse weights "
             f"{fuse_w.shape[0]}")
-    return nm.affine(both, fuse_w, fuse_b)
+    return nm.affine(both, fuse_w, params[f"{prefix}.b"])

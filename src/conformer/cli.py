@@ -12,13 +12,15 @@ from dataclasses import asdict
 from .data import (DatasetBundle, NormalizationStats, SynthConfig,
                    chronological_split, load_dataset, save_dataset,
                    synth_generate)
-from .errors import ConformerError
-from .model import (ABLATIONS, ConFormerConfig, estimate_flops, load_checkpoint,
-                    param_spec, save_checkpoint)
+from .errors import ConfigError, ConformerError, LoadError, ValidationError
+from .model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
+                    load_checkpoint, save_checkpoint)
 from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
                       predict_windows, train, write_history_csv)
 
 SECTIONS = ("model", "train", "synth")
+# Model config keys that must equal the dataset's: the time tables index on them.
+CALENDAR_KEYS = ("steps_per_day", "start_weekday", "start_slot")
 
 
 def load_run_config(path) -> dict:
@@ -38,10 +40,19 @@ def load_run_config(path) -> dict:
     return raw
 
 
+def _check_calendar(model: dict, bundle: DatasetBundle, what: str) -> None:
+    """Reject a calendar in ``model`` that differs from the dataset's."""
+    for key in CALENDAR_KEYS:
+        if key in model and model[key] != getattr(bundle, key):
+            raise ConfigError(f"dataset {key}={getattr(bundle, key)} differs from "
+                              f"{what} {key}={model[key]}")
+
+
 def resolve_model_config(section: dict, bundle: DatasetBundle | None,
                          ablate: list[str]) -> ConFormerConfig:
     merged = dict(section)
     if bundle is not None:
+        _check_calendar(merged, bundle, "model config")
         merged.setdefault("n_nodes", bundle.n_nodes)
         merged.setdefault("steps_per_day", bundle.steps_per_day)
         merged.setdefault("start_weekday", bundle.start_weekday)
@@ -53,12 +64,17 @@ def resolve_model_config(section: dict, bundle: DatasetBundle | None,
     return ConFormerConfig.from_dict(merged)
 
 
-def _write_resolved(out_dir, payload: dict) -> None:
+def _write_rows(out_dir, name: str, rows: list[str]) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "resolved_config.json")
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("\n".join(rows) + "\n")
+    return path
+
+
+def _write_resolved(out_dir, payload: dict) -> None:
+    _write_rows(out_dir, "resolved_config.json",
+                [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def cmd_synth(args) -> int:
@@ -111,27 +127,40 @@ def _metrics_rows(table) -> list[str]:
     return rows
 
 
-def cmd_evaluate(args) -> int:
+def _load_for_inference(args):
+    """Checkpoint, dataset and normalization stats for evaluate and predict."""
     params, extra = load_checkpoint(args.checkpoint)
+    for key in ("norm_mean", "norm_std"):
+        if key not in extra:
+            raise LoadError(f"{args.checkpoint}: checkpoint has no '{key}' stat")
+        value = extra[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise LoadError(f"{args.checkpoint}: checkpoint '{key}' must be a "
+                            f"finite number, got {value!r}")
+    try:
+        stats = NormalizationStats(extra["norm_mean"], extra["norm_std"])
+    except ValidationError as exc:  # NormalizationStats checks the std
+        raise LoadError(f"{args.checkpoint}: checkpoint 'norm_std': {exc}") from exc
     bundle = load_dataset(args.data)
-    stats = NormalizationStats(mean=extra["norm_mean"], std=extra["norm_std"])
+    _check_calendar(params.cfg.to_dict(), bundle, "checkpoint")
+    return params, bundle, stats
+
+
+def cmd_evaluate(args) -> int:
+    params, bundle, stats = _load_for_inference(args)
     split = chronological_split(bundle.n_steps)
     horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else []
     table = evaluate(params, bundle, split, args.split, horizons, stats)
     rows = _metrics_rows(table)
     print("\n".join(rows))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "metrics.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_rows(args.out, "metrics.csv", rows)
     return 0
 
 
 def cmd_predict(args) -> int:
-    params, extra = load_checkpoint(args.checkpoint)
-    bundle = load_dataset(args.data)
-    stats = NormalizationStats(mean=extra["norm_mean"], std=extra["norm_std"])
+    params, bundle, stats = _load_for_inference(args)
     cfg = params.cfg
     t0 = args.at
     if not 0 <= t0 <= bundle.n_steps - cfg.t_in:
@@ -139,12 +168,9 @@ def cmd_predict(args) -> int:
             f"--at {t0} leaves no full input window in [0, {bundle.n_steps})")
     # The horizon may run past the end of the data; predict reads no targets.
     preds = predict_windows(params, bundle, [t0], stats)[0, :, :, 0]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "forecast.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step," + ",".join(f"node{n}" for n in range(bundle.n_nodes)) + "\n")
-        for h in range(cfg.t_out):
-            fh.write(str(h + 1) + "," + ",".join(repr(v) for v in preds[h]) + "\n")
+    rows = ["step," + ",".join(f"node{n}" for n in range(bundle.n_nodes))]
+    rows += [f"{h + 1}," + ",".join(repr(v) for v in preds[h]) for h in range(cfg.t_out)]
+    path = _write_rows(args.out, "forecast.csv", rows)
     print(f"wrote {path} with shape ({cfg.t_out}, {bundle.n_nodes})")
     return 0
 
@@ -158,8 +184,7 @@ def cmd_flops(args) -> int:
     if n_edges is None:
         raise ConformerError("flops needs --edges N or --data DIR for the edge count")
     flops = estimate_flops(cfg, n_edges)
-    n_params = sum(math.prod(shape) for _, shape, _ in param_spec(cfg))
-    print(f"flops={flops} params={n_params}")
+    print(f"flops={flops} params={count_params(cfg)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Condition representation, (gamma, beta, alpha) factor generation, guided
+"""(gamma, beta, alpha) factor generation from the condition features, guided
 layer normalization, and the modulated residual connection."""
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .graph import PropagationOperator, propagate
 
 
 @dataclass(frozen=True)
@@ -26,45 +25,22 @@ class ConditionFactors:
     alpha: nm.Tensor
 
 
-class FactorGenerator:
-    """Two-layer MLP mapping the condition features to ``2*D + 1`` outputs.
+def generate_factors(x_c: nm.Tensor, params, prefix: str) -> ConditionFactors:
+    """Two-layer MLP from the condition features to (gamma, beta, alpha).
 
-    The final layer starts at exactly zero, so a fresh generator emits
-    gamma=1 (via the +1 offset applied in ``generate_factors``), beta=0,
-    alpha=0, making the whole block an identity map at initialization.
-    """
-
-    def __init__(self, params: dict[str, nm.Tensor], prefix: str, d_model: int):
-        self.hidden_w = params[f"{prefix}.hidden.w"]
-        self.hidden_b = params[f"{prefix}.hidden.b"]
-        self.out_w = params[f"{prefix}.out.w"]
-        self.out_b = params[f"{prefix}.out.b"]
-        self.d_model = d_model
-
-    @property
-    def in_width(self) -> int:
-        return self.hidden_w.shape[0]
-
-
-def compute_condition(x_o: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:
-    """Contextual condition representation: graph-propagated input embedding."""
-    return propagate(x_o, op, k_hops)
-
-
-def generate_factors(x_c: nm.Tensor, gen: FactorGenerator) -> ConditionFactors:
-    """Split the generator output into (gamma, beta, alpha).
-
-    The gamma slice carries a +1 offset, so a zero-initialized head yields
-    gamma=1 and GLN reduces to standard layer normalization.
+    Reads ``{prefix}.hidden.w/b`` and ``{prefix}.out.w/b``; ``out.w`` has
+    ``2*D + 1`` columns and starts at zero, and gamma carries a +1 offset, so
+    a fresh generator gives gamma=1, beta=0, alpha=0 and GLN is plain layer norm.
     """
     x_c = nm.as_tensor(x_c)
-    if x_c.shape[-1] != gen.in_width:
+    hidden_w, out_w = params[f"{prefix}.hidden.w"], params[f"{prefix}.out.w"]
+    if x_c.shape[-1] != hidden_w.shape[0]:
         raise DimensionError(
             f"condition width {x_c.shape[-1]} does not match generator input "
-            f"width {gen.in_width}")
-    hidden = nm.gelu(nm.affine(x_c, gen.hidden_w, gen.hidden_b))
-    raw = nm.affine(hidden, gen.out_w, gen.out_b)
-    d = gen.d_model
+            f"width {hidden_w.shape[0]}")
+    hidden = nm.gelu(nm.affine(x_c, hidden_w, params[f"{prefix}.hidden.b"]))
+    raw = nm.affine(hidden, out_w, params[f"{prefix}.out.b"])
+    d = (out_w.shape[-1] - 1) // 2
     gamma = nm.slice_last_axis(raw, 0, d) + 1.0
     beta = nm.slice_last_axis(raw, d, 2 * d)
     alpha = nm.slice_last_axis(raw, 2 * d, 2 * d + 1)

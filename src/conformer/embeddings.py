@@ -49,25 +49,6 @@ def time_indices(t0, horizon: int, cal: CalendarIndexer) -> tuple[np.ndarray, np
     return dow.astype(np.int64), tod.astype(np.int64)
 
 
-class EmbeddingTables:
-    """View over the named embedding parameters of the model.
-
-    Category id 0 is reserved for "no incident" in the acc/reg tables.
-    """
-
-    def __init__(self, params: dict[str, nm.Tensor], cal: CalendarIndexer):
-        self.data_w = params["embed.data_proj.w"]
-        self.data_b = params["embed.data_proj.b"]
-        self.acc_table = params["embed.acc_table"]
-        self.reg_table = params["embed.reg_table"]
-        self.dow_table = params["embed.dow_table"]
-        self.tod_table = params["embed.tod_table"]
-        self.adaptive = params["embed.adaptive"]
-        self.fuse_w = params["embed.fuse.w"]
-        self.fuse_b = params["embed.fuse.b"]
-        self.cal = cal
-
-
 def _validate_ids(ids: np.ndarray, vocab_size: int, name: str):
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
@@ -79,25 +60,29 @@ def _validate_ids(ids: np.ndarray, vocab_size: int, name: str):
 
 
 def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
-              tables: EmbeddingTables) -> nm.Tensor:
+              params, cal: CalendarIndexer) -> nm.Tensor:
     """Fused input embedding, ``[..., T, N, D_model]``.
 
     ``x`` is ``[T, N, D_in]`` or batched ``[B, T, N, D_in]``; ids match its
     leading shape without the feature axis. ``t0`` holds the absolute start
-    step of each window: an int, or one int per batch element.
+    step of each window: an int, or one int per batch element. Reads the
+    ``embed.*`` entries of ``params``; category id 0 is reserved for "no
+    incident" in the acc/reg tables.
     """
     x = nm.as_tensor(x)
     t_len, n_nodes = x.shape[-3], x.shape[-2]
     lead = x.shape[:-1]
 
-    acc_ids = _validate_ids(acc_ids, tables.acc_table.shape[0], "accident")
-    reg_ids = _validate_ids(reg_ids, tables.reg_table.shape[0], "regulation")
+    acc_table, reg_table = params["embed.acc_table"], params["embed.reg_table"]
+    adaptive = params["embed.adaptive"]
+    acc_ids = _validate_ids(acc_ids, acc_table.shape[0], "accident")
+    reg_ids = _validate_ids(reg_ids, reg_table.shape[0], "regulation")
     if acc_ids.shape != lead or reg_ids.shape != lead:
         raise ValidationError(
             f"id arrays must have shape {lead}, got {acc_ids.shape} / {reg_ids.shape}")
-    if tables.adaptive.shape[0] != t_len or tables.adaptive.shape[1] != n_nodes:
+    if adaptive.shape[0] != t_len or adaptive.shape[1] != n_nodes:
         raise ValidationError(
-            f"adaptive embedding {tables.adaptive.shape[:2]} does not match "
+            f"adaptive embedding {adaptive.shape[:2]} does not match "
             f"window shape ({t_len}, {n_nodes})")
 
     if np.shape(t0) != x.shape[:-3]:
@@ -105,16 +90,15 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
                               f"{x.shape[:-3]}, got shape {np.shape(t0)}")
     # Per-timestep calendar rows broadcast over the node axis.
     dow, tod = (np.broadcast_to(a[..., None], lead)
-                for a in time_indices(t0, t_len, tables.cal))
+                for a in time_indices(t0, t_len, cal))
 
-    x_data = nm.affine(x, tables.data_w, tables.data_b)
-    x_acc = nm.gather_rows(tables.acc_table, acc_ids)
-    x_reg = nm.gather_rows(tables.reg_table, reg_ids)
-    x_dow = nm.gather_rows(tables.dow_table, dow)
-    x_tod = nm.gather_rows(tables.tod_table, tod)
-    x_stae = tables.adaptive
+    x_data = nm.affine(x, params["embed.data_proj.w"], params["embed.data_proj.b"])
+    x_acc = nm.gather_rows(acc_table, acc_ids)
+    x_reg = nm.gather_rows(reg_table, reg_ids)
+    x_dow = nm.gather_rows(params["embed.dow_table"], dow)
+    x_tod = nm.gather_rows(params["embed.tod_table"], tod)
     if x.ndim == 4:
-        x_stae = nm.broadcast_to(x_stae, (x.shape[0],) + x_stae.shape)
+        adaptive = nm.broadcast_to(adaptive, (x.shape[0],) + adaptive.shape)
 
-    fused = nm.concat_last_axis([x_data, x_acc, x_reg, x_dow, x_tod, x_stae])
-    return nm.affine(fused, tables.fuse_w, tables.fuse_b)
+    fused = nm.concat_last_axis([x_data, x_acc, x_reg, x_dow, x_tod, adaptive])
+    return nm.affine(fused, params["embed.fuse.w"], params["embed.fuse.b"])

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import numerics as nm
-from .attention import (AttentionProjections, conditional_qkv, fuse,
-                        spatial_attention, temporal_attention)
-from .conditioning import (ConditionFactors, FactorGenerator, compute_condition,
-                           generate_factors, gln, modulated_residual)
-from .embeddings import CalendarIndexer, EmbeddingTables, embed_all
+from .attention import conditional_qkv, fuse, spatial_attention, temporal_attention
+from .conditioning import (ConditionFactors, generate_factors, gln,
+                           modulated_residual)
+from .embeddings import CalendarIndexer, embed_all
 from .errors import ConfigError, DimensionError, LoadError
-from .graph import GraphSpec, PropagationOperator, normalize_adjacency
+from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
 
 ABLATIONS = ("no-accident", "no-regulation", "no-alpha", "no-beta", "no-gamma",
              "no-spatial", "no-temporal", "plain-ln")
@@ -135,9 +134,6 @@ class ConFormerParams:
         return ConFormerParams(self.cfg, OrderedDict(
             (k, nm.Tensor(v.data.copy())) for k, v in self.arrays.items()))
 
-    def tables(self) -> EmbeddingTables:
-        return EmbeddingTables(self.arrays, self.cfg.calendar())
-
 
 def param_spec(cfg: ConFormerConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
     """Every learnable array as ``(name, shape, init)``, in enumeration order.
@@ -196,9 +192,9 @@ def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
     return ConFormerParams(cfg, arrays)
 
 
-def count_params(params: ConFormerParams) -> int:
-    """Exact number of scalar learnables in the flat enumeration."""
-    return sum(t.size for _, t in params.entries())
+def count_params(cfg: ConFormerConfig) -> int:
+    """Exact number of scalar learnables: the sum over ``param_spec``."""
+    return sum(math.prod(shape) for _, shape, _ in param_spec(cfg))
 
 
 def estimate_flops(cfg: ConFormerConfig, n_edges: int) -> int:
@@ -264,30 +260,27 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
     if cfg.ablated("no-regulation"):
         reg_ids = np.zeros_like(reg_ids)
 
-    h = embed_all(x, acc_ids, reg_ids, t0, params.tables())
+    h = embed_all(x, acc_ids, reg_ids, t0, params, cfg.calendar())
 
     for i in range(cfg.n_layers):
-        x_c = compute_condition(h, op, cfg.k_hops)
-        gen_c = FactorGenerator(params.arrays, f"layer{i}.gen_c", cfg.d_model)
-        gen_f = FactorGenerator(params.arrays, f"layer{i}.gen_f", cfg.d_model)
-        f_c = _ablate(cfg, params, f"layer{i}.ln1", generate_factors(x_c, gen_c))
-        f_f = _ablate(cfg, params, f"layer{i}.ln2", generate_factors(x_c, gen_f))
+        p = f"layer{i}."
+        x_c = propagate(h, op, cfg.k_hops)
+        f_c = _ablate(cfg, params, p + "ln1", generate_factors(x_c, params, p + "gen_c"))
+        f_f = _ablate(cfg, params, p + "ln2", generate_factors(x_c, params, p + "gen_f"))
 
         x_gln = gln(h, f_c, cfg.eps)
-        proj = AttentionProjections(params.arrays, f"layer{i}.attn")
-        q, k, v = conditional_qkv(x_gln, x_c, proj)
+        q, k, v = conditional_qkv(x_gln, x_c, params, p + "attn")
         x_sp = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-spatial")
                 else spatial_attention(q, k, v, cfg.n_heads))
         x_te = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-temporal")
                 else temporal_attention(q, k, v, cfg.n_heads))
-        x_att = fuse(x_sp, x_te, proj.fuse_w, proj.fuse_b)
+        x_att = fuse(x_sp, x_te, params, p + "attn.fuse")
         x_att = _dropout(x_att, cfg.dropout, dropout_rng)
         x_res = modulated_residual(h, x_att, f_c.alpha)
 
         x_gln2 = gln(x_res, f_f, cfg.eps)
-        hidden = nm.gelu(nm.affine(x_gln2, params[f"layer{i}.ff.w1"],
-                                   params[f"layer{i}.ff.b1"]))
-        x_ff = nm.affine(hidden, params[f"layer{i}.ff.w2"], params[f"layer{i}.ff.b2"])
+        hidden = nm.gelu(nm.affine(x_gln2, params[p + "ff.w1"], params[p + "ff.b1"]))
+        x_ff = nm.affine(hidden, params[p + "ff.w2"], params[p + "ff.b2"])
         x_ff = _dropout(x_ff, cfg.dropout, dropout_rng)
         h = modulated_residual(x_res, x_ff, f_f.alpha)
 
@@ -343,6 +336,8 @@ def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
         cfg = ConFormerConfig.from_dict(header["config"])
         listed = header["params"]
         extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"'extra' must be an object, got {extra!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
     spec = param_spec(cfg)

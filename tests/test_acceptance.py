@@ -173,7 +173,7 @@ def test_criterion_5_zero_init_identity():
     params = init_params(cfg, seed=11)
     x, acc, reg, graph, y = grad_check_inputs(cfg, seed=2)
     out = forward(x, acc, reg, 5, graph, params, cfg)
-    emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
+    emb = embed_all(nm.Tensor(x), acc, reg, 5, params, cfg.calendar())
     direct = readout(emb, params, cfg)
     bitwise = out.data.tobytes() == direct.data.tobytes()
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conformer import numerics as nm
-from conformer.attention import (AttentionProjections, conditional_qkv, fuse,
-                                 spatial_attention, temporal_attention)
+from conformer.attention import (conditional_qkv, fuse, spatial_attention,
+                                 temporal_attention)
 from conformer.errors import DimensionError
 
 
@@ -23,7 +23,7 @@ def make_projections(rng, d_model, cond_width, zero_cond_cols=False):
         "a.fuse.w": nm.Tensor(rng.normal(0, 0.3, (2 * d_model, d_model))),
         "a.fuse.b": nm.Tensor(rng.normal(0, 0.3, (d_model,))),
     }
-    return AttentionProjections(params, "a")
+    return params
 
 
 class TestConditionalQkv:
@@ -33,8 +33,8 @@ class TestConditionalQkv:
         x = nm.Tensor(rng.normal(size=(2, 3, 4)))
         xc1 = nm.Tensor(rng.normal(size=(2, 3, 8)))
         xc2 = nm.Tensor(rng.normal(size=(2, 3, 8)))
-        _, k1, v1 = conditional_qkv(x, xc1, proj)
-        _, k2, v2 = conditional_qkv(x, xc2, proj)
+        _, k1, v1 = conditional_qkv(x, xc1, proj, "a")
+        _, k2, v2 = conditional_qkv(x, xc2, proj, "a")
         assert np.allclose(k1.data, k2.data, atol=1e-15)
         assert np.allclose(v1.data, v2.data, atol=1e-15)
 
@@ -43,9 +43,9 @@ class TestConditionalQkv:
         proj = make_projections(rng, 4, 8)
         x = nm.Tensor(rng.normal(size=(2, 3, 4)))
         xc = nm.Tensor(np.zeros((2, 3, 8)))
-        _, k, v = conditional_qkv(x, xc, proj)
-        expected_k = x.data @ proj.wk.data[:4] + proj.bk.data
-        expected_v = x.data @ proj.wv.data[:4] + proj.bv.data
+        _, k, v = conditional_qkv(x, xc, proj, "a")
+        expected_k = x.data @ proj["a.wk"].data[:4] + proj["a.bk"].data
+        expected_v = x.data @ proj["a.wv"].data[:4] + proj["a.bv"].data
         assert np.allclose(k.data, expected_k, atol=1e-14)
         assert np.allclose(v.data, expected_v, atol=1e-14)
 
@@ -53,11 +53,11 @@ class TestConditionalQkv:
         rng = np.random.default_rng(2)
         proj = make_projections(rng, 4, 8)
         x = nm.Tensor(rng.normal(size=(2, 3, 4)))
-        q1, k1, _ = conditional_qkv(x, nm.Tensor(rng.normal(size=(2, 3, 8))), proj)
-        q2, k2, _ = conditional_qkv(x, nm.Tensor(rng.normal(size=(2, 3, 8))), proj)
+        q1, k1, _ = conditional_qkv(x, nm.Tensor(rng.normal(size=(2, 3, 8))), proj, "a")
+        q2, k2, _ = conditional_qkv(x, nm.Tensor(rng.normal(size=(2, 3, 8))), proj, "a")
         assert np.array_equal(q1.data, q2.data)
         assert not np.allclose(k1.data, k2.data)
-        assert proj.wq.shape == (4, 4)
+        assert proj["a.wq"].shape == (4, 4)
 
     def test_hand_computed_case(self):
         d = 2
@@ -71,10 +71,9 @@ class TestConditionalQkv:
             "a.fuse.w": nm.Tensor(np.zeros((4, 2))),
             "a.fuse.b": nm.Tensor(np.zeros(2)),
         }
-        proj = AttentionProjections(params, "a")
         x = nm.Tensor([[[1.0, 2.0]]])      # T=1, N=1, D=2
         xc = nm.Tensor([[[3.0]]])          # cond width 1
-        q, k, v = conditional_qkv(x, xc, proj)
+        q, k, v = conditional_qkv(x, xc, params, "a")
         assert np.allclose(q.data, [[[1.5, 3.5]]])
         assert np.allclose(k.data, [[[1.0 + 3.0, 1.0 + 2.0]]])
         assert np.allclose(v.data, [[[2.0, 4.0]]])
@@ -84,7 +83,7 @@ class TestConditionalQkv:
         proj = make_projections(rng, 4, 8)
         with pytest.raises(DimensionError):
             conditional_qkv(nm.Tensor(rng.normal(size=(2, 3, 5))),
-                            nm.Tensor(rng.normal(size=(2, 3, 8))), proj)
+                            nm.Tensor(rng.normal(size=(2, 3, 8))), proj, "a")
 
 
 class TestSpatialAttention:
@@ -217,31 +216,35 @@ class TestTemporalAttention:
         assert np.abs(out2[0] - out1[0]).max() > 0.0
 
 
+def fuse_params(w, b):
+    return {"f.w": nm.Tensor(w), "f.b": nm.Tensor(b)}
+
+
 class TestFuse:
     def test_selector_returns_spatial(self):
         rng = np.random.default_rng(11)
         x_sp = nm.Tensor(rng.normal(size=(2, 3, 4)))
         x_te = nm.Tensor(rng.normal(size=(2, 3, 4)))
-        w = nm.Tensor(np.vstack([np.eye(4), np.zeros((4, 4))]))
-        out = fuse(x_sp, x_te, w, nm.Tensor(np.zeros(4)))
+        w = np.vstack([np.eye(4), np.zeros((4, 4))])
+        out = fuse(x_sp, x_te, fuse_params(w, np.zeros(4)), "f")
         assert np.allclose(out.data, x_sp.data, atol=1e-15)
 
     def test_averaging_weights(self):
         rng = np.random.default_rng(12)
         x_sp = nm.Tensor(rng.normal(size=(2, 3, 4)))
         x_te = nm.Tensor(rng.normal(size=(2, 3, 4)))
-        w = nm.Tensor(np.vstack([0.5 * np.eye(4), 0.5 * np.eye(4)]))
-        out = fuse(x_sp, x_te, w, nm.Tensor(np.zeros(4)))
+        w = np.vstack([0.5 * np.eye(4), 0.5 * np.eye(4)])
+        out = fuse(x_sp, x_te, fuse_params(w, np.zeros(4)), "f")
         assert np.allclose(out.data, 0.5 * (x_sp.data + x_te.data), atol=1e-15)
 
     def test_hand_computed_case(self):
         x_sp = nm.Tensor([[[1.0, 2.0]]])
         x_te = nm.Tensor([[[3.0, 4.0]]])
-        w = nm.Tensor([[1.0], [2.0], [3.0], [4.0]])
-        out = fuse(x_sp, x_te, w, nm.Tensor([10.0]))
+        w = [[1.0], [2.0], [3.0], [4.0]]
+        out = fuse(x_sp, x_te, fuse_params(w, [10.0]), "f")
         assert out.data.ravel().tolist() == [1 + 4 + 9 + 16 + 10]
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             fuse(nm.Tensor(np.zeros((2, 3, 4))), nm.Tensor(np.zeros((2, 3, 5))),
-                 nm.Tensor(np.zeros((8, 4))), nm.Tensor(np.zeros(4)))
+                 fuse_params(np.zeros((8, 4)), np.zeros(4)), "f")

@@ -1,12 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from conformer.cli import main
 from conformer.data import load_dataset
-from conformer.model import load_checkpoint
+from conformer.model import load_checkpoint, save_checkpoint
 
 
 def read(path):
@@ -108,6 +109,37 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--config", tiny_config, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("calendar, message", [
+        ({"steps_per_day": 288},
+         "steps_per_day=24 differs from model config steps_per_day=288"),
+        ({"start_weekday": 3}, "start_weekday=0 differs from model config start_weekday=3"),
+        ({"start_slot": 5}, "start_slot=0 differs from model config start_slot=5"),
+    ], ids=["steps", "weekday", "slot"])
+    def test_calendar_mismatch_fails_before_training(self, tmp_path, tiny_config,
+                                                     capsys, calendar, message):
+        data = synth_dir(tmp_path, tiny_config)
+        with open(tiny_config) as fh:
+            cfg = json.load(fh)
+        cfg["model"].update(calendar)
+        path = tmp_path / "calendar.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["train", "--data", data, "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_calendar_accepted(self, tmp_path, tiny_config):
+        data = synth_dir(tmp_path, tiny_config)
+        with open(tiny_config) as fh:
+            cfg = json.load(fh)
+        cfg["model"].update(steps_per_day=24, start_weekday=0, start_slot=0)
+        cfg["train"]["max_epochs"] = 1
+        path = tmp_path / "calendar.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--data", data, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+
 
 class TestEvaluatePredictFlops:
     @pytest.fixture
@@ -149,6 +181,52 @@ class TestEvaluatePredictFlops:
         data, ckpt = trained
         assert main(["predict", "--checkpoint", ckpt, "--data", data,
                      "--at", "99999", "--out", str(tmp_path / "p")]) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("extra, message", [
+        (None, "no 'norm_mean'"),
+        ({"norm_mean": 1.0}, "no 'norm_std'"),
+        ({"norm_mean": "fast", "norm_std": 1.0},
+         "'norm_mean' must be a finite number.*'fast'"),
+        ({"norm_mean": float("nan"), "norm_std": 1.0},
+         "'norm_mean' must be a finite number.*nan"),
+        ({"norm_mean": 1.0, "norm_std": float("inf")},
+         "'norm_std' must be a finite number.*inf"),
+        ({"norm_mean": 1.0, "norm_std": 0.0}, "'norm_std': std must be > 0, got 0.0"),
+    ], ids=["no-stats", "no-std", "text-mean", "nan-mean", "inf-std", "zero-std"])
+    def test_checkpoint_stats_checked(self, tmp_path, trained, capsys, command,
+                                      extra, message):
+        data, ckpt = trained
+        params, _ = load_checkpoint(ckpt)
+        bad = str(tmp_path / "bad.cfmr")
+        save_checkpoint(bad, params, extra)
+        argv = [command, "--checkpoint", bad, "--data", data]
+        if command == "predict":
+            argv += ["--at", "0", "--out", str(tmp_path / "p")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "bad.cfmr" in err and re.search(message, err), err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("synth, message", [
+        ({"interval_minutes": 30, "start_weekday": 2},
+         "steps_per_day=48 differs from checkpoint steps_per_day=24"),
+        ({"start_weekday": 2}, "start_weekday=2 differs from checkpoint start_weekday=0"),
+        ({"start_slot": 5}, "start_slot=5 differs from checkpoint start_slot=0"),
+    ], ids=["interval", "weekday", "slot"])
+    def test_calendar_mismatch_rejected(self, tmp_path, trained, capsys, command,
+                                        synth, message):
+        _, ckpt = trained
+        cfg = {"synth": {"n_nodes": 4, "days": 2, "interval_minutes": 60, **synth}}
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(cfg))
+        other = str(tmp_path / "other")
+        assert main(["synth", "--config", str(path), "--out", other]) == 0
+        argv = [command, "--checkpoint", ckpt, "--data", other]
+        if command == "predict":
+            argv += ["--at", "0", "--out", str(tmp_path / "p")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_flops_worked_example(self, tmp_path, capsys):
         cfg = {"model": {"t_in": 2, "t_out": 2, "n_nodes": 3, "d_model": 4,

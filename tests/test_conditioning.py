@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conformer import numerics as nm
-from conformer.conditioning import (ConditionFactors, FactorGenerator,
-                                    compute_condition, expanded_score_identity,
+from conformer.conditioning import (ConditionFactors, expanded_score_identity,
                                     expanded_score_terms, generate_factors, gln,
                                     modulated_residual)
 from conformer.errors import DimensionError
-from conformer.graph import GraphSpec, PropagationOperator, normalize_adjacency
+from conformer.graph import (GraphSpec, PropagationOperator, normalize_adjacency,
+                             propagate)
 
 
 def make_generator(rng, in_width, d_model, zero_head=True):
@@ -19,7 +19,7 @@ def make_generator(rng, in_width, d_model, zero_head=True):
         "g.out.b": nm.Tensor(np.zeros((2 * d_model + 1,)) if zero_head
                              else rng.normal(0, 0.3, (2 * d_model + 1,))),
     }
-    return FactorGenerator(params, "g", d_model)
+    return params
 
 
 def factors(gamma, beta, alpha):
@@ -28,18 +28,20 @@ def factors(gamma, beta, alpha):
 
 
 class TestComputeCondition:
+    """The condition features x_c are the K-hop propagation of the input."""
+
     def test_zero_hops_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 4))
         op = normalize_adjacency(GraphSpec(3, ((0, 1, 1.0),)))
-        out = compute_condition(nm.Tensor(x), op, 0)
+        out = propagate(nm.Tensor(x), op, 0)
         assert np.array_equal(out.data, x)
 
     def test_identity_operator_repeats_blocks(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 4))
         op = PropagationOperator(np.eye(3))
-        out = compute_condition(nm.Tensor(x), op, 2).data
+        out = propagate(nm.Tensor(x), op, 2).data
         assert np.array_equal(out, np.concatenate([x, x, x], axis=-1))
 
     def test_matches_power_oracle(self):
@@ -49,7 +51,7 @@ class TestComputeCondition:
                       if i != j and rng.random() < 0.6)
         op = normalize_adjacency(GraphSpec(3, edges))
         x = rng.normal(size=(2, 3, 2))
-        out = compute_condition(nm.Tensor(x), op, 2).data
+        out = propagate(nm.Tensor(x), op, 2).data
         for j in range(3):
             power = np.linalg.matrix_power(op.matrix, j)
             assert np.abs(out[..., 2 * j:2 * j + 2]
@@ -61,7 +63,7 @@ class TestGenerateFactors:
         rng = np.random.default_rng(3)
         gen = make_generator(rng, in_width=6, d_model=4)
         x_c = nm.Tensor(rng.normal(size=(2, 3, 6)))
-        f = generate_factors(x_c, gen)
+        f = generate_factors(x_c, gen, "g")
         assert np.array_equal(f.alpha.data, np.zeros((2, 3, 1)))
         assert np.array_equal(f.gamma.data, np.ones((2, 3, 4)))
         assert np.array_equal(f.beta.data, np.zeros((2, 3, 4)))
@@ -74,21 +76,30 @@ class TestGenerateFactors:
             "g.out.w": nm.Tensor(np.full((d, 2 * d + 1), 0.5)),
             "g.out.b": nm.Tensor([0.1, 0.2, 0.3, 0.4, 0.5]),
         }
-        gen = FactorGenerator(params, "g", d)
         x_c = nm.Tensor([[[2.0, 4.0]]])
         # hidden = gelu([2, 4]); raw = 0.5*(h0+h1) + bias per channel
         h = nm.gelu(nm.Tensor([2.0, 4.0])).data
         s = 0.5 * h.sum()
-        f = generate_factors(x_c, gen)
+        f = generate_factors(x_c, params, "g")
         assert np.allclose(f.gamma.data, [[[1.0 + s + 0.1, 1.0 + s + 0.2]]], atol=1e-12)
         assert np.allclose(f.beta.data, [[[s + 0.3, s + 0.4]]], atol=1e-12)
         assert np.allclose(f.alpha.data, [[[s + 0.5]]], atol=1e-12)
+
+    def test_factor_width_read_from_output_head(self):
+        # D comes from out.w's 2*D + 1 columns, not from the hidden width
+        rng = np.random.default_rng(5)
+        params = {"g.hidden.w": nm.Tensor(rng.normal(size=(6, 3))),
+                  "g.hidden.b": nm.Tensor(np.zeros(3)),
+                  "g.out.w": nm.Tensor(rng.normal(size=(3, 5))),
+                  "g.out.b": nm.Tensor(np.zeros(5))}
+        f = generate_factors(nm.Tensor(rng.normal(size=(2, 6))), params, "g")
+        assert (f.gamma.shape, f.beta.shape, f.alpha.shape) == ((2, 2), (2, 2), (2, 1))
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(4)
         gen = make_generator(rng, in_width=6, d_model=4)
         with pytest.raises(DimensionError):
-            generate_factors(nm.Tensor(rng.normal(size=(2, 3, 5))), gen)
+            generate_factors(nm.Tensor(rng.normal(size=(2, 3, 5))), gen, "g")
 
 
 class TestGln:

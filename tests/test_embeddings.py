@@ -57,13 +57,14 @@ class TestEmbedAll:
     def setup_method(self):
         self.cfg = tiny_cfg()
         self.params = init_params(self.cfg, seed=0)
+        self.cal = self.cfg.calendar()
         self.rng = np.random.default_rng(0)
         self.x = self.rng.normal(size=(4, 3, 1))
         self.acc = self.rng.integers(0, 3, size=(4, 3))
         self.reg = self.rng.integers(0, 2, size=(4, 3))
 
     def test_output_shape(self):
-        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params.tables())
+        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params, self.cal)
         assert out.shape == (4, 3, 8)
 
     def test_pre_mlp_width(self):
@@ -77,24 +78,23 @@ class TestEmbedAll:
         table[0] = 0.0
         self.params.replace({"embed.acc_table": table})
         acc0 = np.zeros((4, 3), dtype=np.int64)
-        out = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params.tables())
+        out = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params, self.cal)
 
         fuse_w = self.params["embed.fuse.w"].data.copy()
         fuse_w[4:7] = 0.0  # accident block columns
         self.params.replace({"embed.fuse.w": fuse_w})
-        out_masked = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params.tables())
+        out_masked = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params, self.cal)
         assert np.allclose(out.data, out_masked.data, atol=1e-15)
 
     def test_periodicity_24h_apart(self):
-        tables = self.params.tables()
-        a = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, tables)
+        a = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params, self.cal)
         b = embed_all(nm.Tensor(self.x), self.acc, self.reg, self.cfg.steps_per_day,
-                      tables)
+                      self.params, self.cal)
         # same tod rows, different dow rows: outputs must differ via dow only
-        dow_a = time_indices(0, 4, tables.cal)[0]
-        dow_b = time_indices(self.cfg.steps_per_day, 4, tables.cal)[0]
-        tod_a = time_indices(0, 4, tables.cal)[1]
-        tod_b = time_indices(self.cfg.steps_per_day, 4, tables.cal)[1]
+        dow_a = time_indices(0, 4, self.cal)[0]
+        dow_b = time_indices(self.cfg.steps_per_day, 4, self.cal)[0]
+        tod_a = time_indices(0, 4, self.cal)[1]
+        tod_b = time_indices(self.cfg.steps_per_day, 4, self.cal)[1]
         assert np.array_equal(tod_a, tod_b)
         assert not np.array_equal(dow_a, dow_b)
         assert not np.allclose(a.data, b.data)
@@ -103,7 +103,7 @@ class TestEmbedAll:
         bad = self.acc.copy()
         bad[2, 1] = 99
         with pytest.raises(ValidationError, match=r"99.*t=2.*n=1"):
-            embed_all(nm.Tensor(self.x), bad, self.reg, 0, self.params.tables())
+            embed_all(nm.Tensor(self.x), bad, self.reg, 0, self.params, self.cal)
 
     def test_concat_order_pinned(self):
         """Each block is tagged with a distinct constant; the fused output
@@ -129,14 +129,13 @@ class TestEmbedAll:
             start += w
         self.params.replace({"embed.fuse.w": fuse_w})
         out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0,
-                        self.params.tables()).data
+                        self.params, self.cal).data
         expected = [1.0 * cfg.d_data, 2.0 * cfg.d_acc, 3.0 * cfg.d_reg,
                     4.0 * cfg.d_dow, 5.0 * cfg.d_tod, 6.0 * cfg.d_stae]
         assert np.allclose(out[0, 0, :6], expected)
 
     def test_gradients_reach_all_tables(self):
-        tables = self.params.tables()
-        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, tables)
+        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params, self.cal)
         loss = nm.tsum(out * out)
         named = dict(self.params.entries())
         record = nm.backward(loss, named)
@@ -147,23 +146,22 @@ class TestEmbedAll:
 
     def test_unused_table_row_zero_gradient(self):
         acc0 = np.zeros((4, 3), dtype=np.int64)  # only row 0 used
-        out = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params.tables())
+        out = embed_all(nm.Tensor(self.x), acc0, self.reg, 0, self.params, self.cal)
         record = nm.backward(nm.tsum(out * out), dict(self.params.entries()))
         assert np.abs(record["embed.acc_table"][1:]).max() == 0.0
         assert np.abs(record["embed.acc_table"][0]).max() > 0.0
 
     def test_embedding_lookup_gradient_matches_fd(self):
-        tables = self.params.tables()
         weights = nm.Tensor(np.random.default_rng(1).normal(size=(4, 3, 8)))
 
         def loss_for(arr):
             self.params.replace({"embed.dow_table": arr})
             out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0,
-                            self.params.tables())
+                            self.params, self.cal)
             return nm.tsum(out * weights).item()
 
-        base = tables.dow_table.data.copy()
-        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, tables)
+        base = self.params["embed.dow_table"].data.copy()
+        out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params, self.cal)
         analytic = nm.backward(nm.tsum(out * weights),
                                dict(self.params.entries()))["embed.dow_table"]
         fd = nm.finite_difference_gradient(loss_for, base)
@@ -171,13 +169,12 @@ class TestEmbedAll:
         assert nm.relative_error(analytic, fd) <= 1e-4
 
     def test_batched_matches_loop(self):
-        tables = self.params.tables()
         xb = np.stack([self.x, self.x * 0.5])
         accb = np.stack([self.acc, self.acc])
         regb = np.stack([self.reg, self.reg])
         t0s = np.array([0, 3])
-        out = embed_all(nm.Tensor(xb), accb, regb, t0s, tables).data
+        out = embed_all(nm.Tensor(xb), accb, regb, t0s, self.params, self.cal).data
         for i in range(2):
             single = embed_all(nm.Tensor(xb[i]), accb[i], regb[i], int(t0s[i]),
-                               tables).data
+                               self.params, self.cal).data
             assert np.allclose(out[i], single, atol=1e-15)

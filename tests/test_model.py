@@ -9,7 +9,7 @@ from conformer import numerics as nm
 from conformer.embeddings import embed_all
 from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
-from conformer.model import (ConFormerConfig, count_params, estimate_flops,
+from conformer.model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
                              forward, init_params, load_checkpoint, param_spec,
                              readout, save_checkpoint)
 
@@ -70,7 +70,7 @@ class TestForward:
         params = init_params(cfg, seed=2)
         x, acc, reg, graph = tiny_inputs(cfg, seed=3)
         out = forward(x, acc, reg, 5, graph, params, cfg)
-        emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
+        emb = embed_all(nm.Tensor(x), acc, reg, 5, params, cfg.calendar())
         direct = readout(emb, params, cfg)
         assert out.data.tobytes() == direct.data.tobytes()
 
@@ -79,7 +79,7 @@ class TestForward:
         params = init_params(cfg, seed=2)
         x, acc, reg, graph = tiny_inputs(cfg, seed=3)
         out = forward(x, acc, reg, 5, graph, params, cfg)
-        emb = embed_all(nm.Tensor(x), acc, reg, 5, params.tables())
+        emb = embed_all(nm.Tensor(x), acc, reg, 5, params, cfg.calendar())
         direct = readout(emb, params, cfg)
         assert out.data.tobytes() == direct.data.tobytes()
 
@@ -180,7 +180,7 @@ class TestAblations:
         params = init_params(cfg, seed=8)
         x, acc, reg, graph = tiny_inputs(cfg, seed=9)
         out = forward(x, acc, reg, 0, graph, params, cfg)
-        emb = embed_all(nm.Tensor(x), acc, reg, 0, params.tables())
+        emb = embed_all(nm.Tensor(x), acc, reg, 0, params, cfg.calendar())
         direct = readout(emb, params, cfg)
         assert not np.allclose(out.data, direct.data)
 
@@ -209,14 +209,15 @@ class TestCounting:
         assert params["embed.dow_table"].size == 56
 
     def test_total_is_sum_of_entries(self):
-        params = init_params(tiny_cfg(), seed=0)
-        assert count_params(params) == sum(t.size for _, t in params.entries())
+        for cfg in (tiny_cfg(), tiny_cfg(n_layers=2, ablations=("plain-ln",))):
+            built = init_params(cfg, seed=0)
+            assert count_params(cfg) == sum(t.size for _, t in built.entries())
 
     def test_default_config_count_stable(self):
         # recorded value for the default desk-scale configuration
         cfg = ConFormerConfig(t_in=12, t_out=12, n_nodes=30, steps_per_day=288,
                               n_acc_codes=3, n_reg_codes=2)
-        assert count_params(init_params(cfg, seed=0)) == 45134
+        assert count_params(cfg) == 45134
 
 
 class TestParamSpec:
@@ -227,6 +228,20 @@ class TestParamSpec:
             spec = [(name, shape) for name, shape, _ in param_spec(cfg)]
             drawn = [(name, t.shape) for name, t in init_params(cfg, seed=0).entries()]
             assert spec == drawn, cfg.ablations
+
+    def test_forward_reads_exactly_spec_names(self):
+        # A name is written twice: in param_spec and in the layer that reads it.
+        class Recording(dict):
+            def __getitem__(self, name):
+                self.read.add(name)
+                return super().__getitem__(name)
+
+        for cfg in [tiny_cfg(n_layers=2)] + [tiny_cfg(ablations=(f,)) for f in ABLATIONS]:
+            params = Recording(init_params(cfg, seed=0).entries())
+            params.read = set()
+            x, acc, reg, graph = tiny_inputs(cfg)
+            forward(x, acc, reg, 0, graph, params, cfg)
+            assert params.read == {name for name, _, _ in param_spec(cfg)}, cfg.ablations
 
     def test_golden_init_digest(self):
         # pins init names, order, draws and values (recorded with numpy 2.4.6)
@@ -287,7 +302,8 @@ class TestCheckpoint:
             path.write_bytes(cut)
             with pytest.raises(LoadError, match=f"{path.name}.*truncated"):
                 load_checkpoint(path)
-        for header in ({"params": []}, {"config": cfg.to_dict()}):
+        for header in ({"params": []}, {"config": cfg.to_dict()},
+                       {"config": cfg.to_dict(), "params": [], "extra": [1.5]}):
             blob = json.dumps(header).encode("utf-8")
             path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
             with pytest.raises(LoadError, match=f"{path.name}.*corrupt"):
