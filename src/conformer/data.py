@@ -160,9 +160,19 @@ def masked_metrics(y, y_hat) -> MaskedMetrics:
 
 def window_block(array: np.ndarray, starts, offset: int, length: int) -> np.ndarray:
     """``array`` at steps ``start + offset + arange(length)`` of each window
-    start, ``[W, length, ...]``: inputs are offset 0, targets offset T."""
-    steps = np.asarray(starts, dtype=np.int64)[:, None] + offset + np.arange(length)
-    return array[steps]
+    start, ``[W, length, ...]``: inputs are offset 0, targets offset T.
+
+    A block that leaves ``array`` raises ``ValidationError``; numpy would wrap
+    a negative step round to the end of the series.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lo, hi = -offset, len(array) - offset - length
+    bad = starts[(starts < lo) | (starts > hi)]
+    if bad.size:
+        raise ValidationError(
+            f"window start {bad[0]} leaves the {len(array)} steps of the data "
+            f"(offset {offset}, length {length}): starts must lie in [{lo}, {hi}]")
+    return array[starts[:, None] + offset + np.arange(length)]
 
 
 def windows_with_incidents(bundle: DatasetBundle, windows, t_in: int) -> np.ndarray:

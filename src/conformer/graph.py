@@ -76,17 +76,10 @@ class PropagationOperator:
             raise ValidationError("operator rows must sum to 1 (or 0 for isolated nodes)")
         self.matrix = matrix
         self.matrix.setflags(write=False)
-        self._tensor = None
 
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
-
-    def as_tensor(self) -> nm.Tensor:
-        # Built on first use: ``synth`` needs only the matrix.
-        if self._tensor is None:
-            self._tensor = nm.Tensor(self.matrix)
-        return self._tensor
 
 
 def normalize_adjacency(g: GraphSpec, add_self_loops: bool = True) -> PropagationOperator:
@@ -108,7 +101,8 @@ def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:
 
     ``x`` is ``[..., N, D]`` with the node axis second-to-last; the output is
     ``[..., N, (K+1)*D]``, the concatenation ``x || Lx || L^2 x || ... || L^K x``.
-    Differentiable: gradients flow through every hop.
+    Differentiable: gradients flow through every hop to ``x``; the operator
+    is a constant and gets none.
     """
     if k_hops < 0:
         raise ContractError(f"k_hops must be >= 0, got {k_hops}")
@@ -118,8 +112,7 @@ def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:
     if x.shape[-2] != op.n_nodes:
         raise DimensionError(
             f"node axis {x.shape[-2]} does not match operator size {op.n_nodes}")
-    operator = op.as_tensor()
     hops = [x]
     for _ in range(k_hops):
-        hops.append(nm.matmul(operator, hops[-1]))
+        hops.append(nm.matmul(op.matrix, hops[-1]))
     return nm.concat_last_axis(hops)

@@ -18,12 +18,17 @@ composite, so attention keeps two ``[.., N, N]`` arrays per call on the tape
 instead of three. ``gelu`` likewise works in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
-parameter, so the arithmetic primitives give it no gradient (``None`` in its
-VJP slot) instead of a full-size product or reduction.
+parameter, so the arithmetic primitives, ``matmul`` and ``affine`` give it no
+gradient (``None`` in its VJP slot) instead of a full-size product or
+reduction.
 
 ``backward`` walks only the nodes that reach a parameter and drops each
 interior gradient as soon as its node's VJP has used it, so the reverse
-pass holds a few gradients at a time rather than one per node.
+pass holds a few gradients at a time rather than one per node. It also
+consumes the tape as it walks: each interior node it has visited loses its
+parents and its VJP, so each forward array is freed once the last VJP that
+reads it has run. A tape can be differentiated once; a second ``backward``
+through any of its nodes raises ``ContractError``.
 
 Inside ``with no_tape():`` (per thread) a node keeps its data and its
 finiteness check but gets no parents, and a stub that raises stands in for
@@ -54,9 +59,15 @@ def _as_array(values) -> Array:
     return arr
 
 
-def _check_finite(arr: Array, op: str) -> Array:
+def _check_finite(arr: Array, op: str, inputs: tuple = ()) -> Array:
     if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite value produced by '{op}'")
+        shapes = [str(t.shape) for t in inputs]
+        source = f"'{op}'"
+        if len(shapes) == 1:
+            source += f" from input {shapes[0]}"
+        elif shapes:
+            source += f" from inputs {', '.join(shapes[:-1])} and {shapes[-1]}"
+        raise NumericsError(f"non-finite value produced by {source}")
     return arr
 
 
@@ -105,7 +116,7 @@ class Tensor:
 
     def __init__(self, values, _parents: tuple = (), _vjp: Callable | None = None,
                  _op: str = "tensor"):
-        self.data = _check_finite(_as_array(values), _op)
+        self.data = _check_finite(_as_array(values), _op, _parents)
         _link(self, _parents, _vjp)
 
     @property
@@ -231,20 +242,35 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
 
 
-def _matmul_vjp(grad: Array, a: Tensor, b: Tensor) -> tuple[Array, Array]:
-    ga = _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
-    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
-    return ga, gb
+def _matmul_vjp(grad: Array, a: Tensor, b: Tensor, const_a: bool,
+                const_b: bool) -> tuple[Array | None, Array | None]:
+    def grad_a():
+        return None if const_a else _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
+
+    def grad_b():
+        return None if const_b else _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
+
+    # The gradient summed over broadcast axes (an affine weight) is reduced
+    # before the other one is allocated: one batched temporary at a time.
+    if a.shape[:-2] != grad.shape[:-2]:
+        ga = grad_a()
+        return ga, grad_b()
+    gb = grad_b()
+    return grad_a(), gb
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product: ``a[..., m, k] @ b[..., k, n]``."""
+    """Batched matrix product: ``a[..., m, k] @ b[..., k, n]``.
+
+    A plain-array operand is a constant and gets no gradient.
+    """
+    const_a, const_b = not isinstance(a, Tensor), not isinstance(b, Tensor)
     a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b)
     out_data = a.data @ b.data
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, a, b)
+        return _matmul_vjp(grad, a, b, const_a, const_b)
 
     return Tensor(out_data, (a, b), vjp, "matmul")
 
@@ -253,8 +279,10 @@ def affine(x, w, b) -> Tensor:
     """``x @ w + b`` as one node; bitwise equal to ``matmul(x, w) + b``.
 
     ``b`` is added in place to the fresh product, so the tape holds one
-    output array where the composite holds two.
+    output array where the composite holds two. A plain-array operand gets
+    no gradient.
     """
+    const_x, const_w, const_b = (not isinstance(t, Tensor) for t in (x, w, b))
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w)
     out_data = x.data @ w.data
@@ -264,7 +292,8 @@ def affine(x, w, b) -> Tensor:
     out_data += b.data
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, x, w) + (_unbroadcast(grad, b.shape),)
+        return _matmul_vjp(grad, x, w, const_x, const_w) + (
+            None if const_b else _unbroadcast(grad, b.shape),)
 
     return Tensor(out_data, (x, w, b), vjp, "affine")
 
@@ -482,6 +511,10 @@ def mean_std_last_axis(x, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
 # -- reverse pass ------------------------------------------------------------
 
 
+def _consumed(grad: Array):
+    raise ContractError("this node's tape was consumed by an earlier backward")
+
+
 def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     """Gradient of a scalar ``loss`` with respect to each named parameter.
 
@@ -492,13 +525,14 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     a node with such a parent. Each interior gradient is dropped once its
     node's VJP has used it; only the parameters' gradients are kept, leaves
     or not.
+
+    The tape is consumed once: each interior node, once visited, loses its
+    parents and its VJP (a stub that raises takes its place), so every
+    forward array is freed after the last VJP that reads it. A second
+    ``backward`` through any node of the same tape raises ``ContractError``.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._vjp is not None and not loss._parents:
-        # Only a node built under no_tape has a VJP slot but no parents.
-        raise ContractError("backward: the loss was built under no_tape, so there "
-                            "is no tape to differentiate")
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -510,11 +544,19 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _consumed:
+            raise ContractError(
+                f"backward: the tape through a {node.shape} node was consumed by an "
+                "earlier backward; build the loss again to differentiate it")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
+    if loss._vjp is not None and not loss._parents:
+        # Only a node built under no_tape has a VJP slot but no parents.
+        raise ContractError("backward: the loss was built under no_tape, so there "
+                            "is no tape to differentiate")
 
     # Parents precede children in ``topo``: a node reaches a parameter when
     # it is one or one of its parents does; ``flows`` holds the nodes whose
@@ -529,20 +571,25 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
         elif id(node) in wanted:
             reaches.add(id(node))
 
+    # Every child of ``topo[i]`` comes after it, so once the walk has cleared
+    # those children and its own slot, nothing on the tape holds the node.
     grads: dict[int, Array] = {id(loss): np.ones(loss.shape)}
-    for node in reversed(topo):
-        key = id(node)
-        if key not in flows or key not in grads:
+    for i in range(len(topo) - 1, -1, -1):
+        node, topo[i] = topo[i], None
+        if not node._parents:
             continue
-        grad = grads[key] if key in wanted else grads.pop(key)
-        for parent, pgrad in zip(node._parents, node._vjp(grad)):
-            pkey = id(parent)
-            if pgrad is None or pkey not in reaches:
-                continue
-            if pkey in grads:
-                grads[pkey] = grads[pkey] + pgrad
-            else:
-                grads[pkey] = pgrad
+        key = id(node)
+        if key in flows and key in grads:
+            grad = grads[key] if key in wanted else grads.pop(key)
+            for parent, pgrad in zip(node._parents, node._vjp(grad)):
+                pkey = id(parent)
+                if pgrad is None or pkey not in reaches:
+                    continue
+                if pkey in grads:
+                    grads[pkey] = grads[pkey] + pgrad
+                else:
+                    grads[pkey] = pgrad
+        node._parents, node._vjp = (), _consumed
 
     record: dict[str, Array] = {}
     for name, p in params.items():

@@ -159,6 +159,8 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     Each batch runs under ``nm.no_tape``: nothing is differentiated, so every
     intermediate is freed as soon as the forward pass drops it.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     cfg = params.cfg
     op = normalize_adjacency(bundle.graph)
     n_workers = _thread_count()

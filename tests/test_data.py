@@ -13,7 +13,7 @@ from conformer.data import (DatasetBundle, SynthConfig, chronological_split,
                             fit_normalization, load_dataset, make_windows,
                             masked_metrics, save_dataset, synth_generate,
                             window_block, windows_with_incidents)
-from conformer.errors import ConfigError, DimensionError, LoadError
+from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
 
 
@@ -380,6 +380,15 @@ class TestWindows:
                               bundle.values[3:7])
         assert np.array_equal(window_block(bundle.values, starts, 4, 2)[0],
                               bundle.values[7:9])
+
+    def test_window_block_outside_data_rejected(self):
+        bundle = tiny_bundle()
+        last = bundle.n_steps - 6
+        assert window_block(bundle.values, [-4, last], 4, 2).shape[:2] == (2, 2)
+        for start in (-5, last + 1):
+            with pytest.raises(ValidationError, match=rf"start {start} .*\[-4, {last}\]"):
+                window_block(bundle.values, [0, start], 4, 2)
+        assert window_block(bundle.values, [], 4, 2).shape[0] == 0
 
 
 class TestSynthGenerate:

@@ -88,12 +88,6 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValidationError, match="rows must sum to 1"):
             PropagationOperator(np.array([[0.5, 0.500005], [0.5, 0.5]]))
 
-    def test_tensor_built_once_from_matrix(self):
-        op = normalize_adjacency(GraphSpec(2, ((0, 1, 1.0),)))
-        tensor = op.as_tensor()
-        assert op.as_tensor() is tensor
-        assert np.array_equal(tensor.data, op.matrix)
-
 
 class TestPropagate:
     def test_zero_hops_is_identity(self):
@@ -148,6 +142,18 @@ class TestPropagate:
         op = normalize_adjacency(GraphSpec(2, ((0, 1, 1.0),)))
         with pytest.raises(DimensionError):
             propagate(nm.Tensor(np.zeros((1, 3, 1))), op, 1)
+
+    def test_hop_gives_operator_no_gradient(self):
+        rng = np.random.default_rng(7)
+        op = normalize_adjacency(random_graph(rng, 3))
+        h = nm.Tensor(rng.normal(size=(2, 3, 2)))
+        grad = rng.normal(size=(2, 3, 2))
+        hop = propagate(h, op, 1)._parents[1]
+        g_op, g_h = hop._vjp(grad)
+        assert g_op is None
+        # The same hop with the operator as a Tensor computes both gradients.
+        _, g_ref = nm.matmul(nm.Tensor(op.matrix), h)._vjp(grad)
+        assert g_h.tobytes() == g_ref.tobytes()
 
     def test_gradient_flows_through_hops(self):
         rng = np.random.default_rng(6)

@@ -179,6 +179,46 @@ def _backward_peak_bytes(depth: int, size: int = 10**6) -> int:
         tracemalloc.stop()
 
 
+def _affine_chain_backward(depth: int, shape=(16, 128, 128)) -> dict[str, float]:
+    """tracemalloc figures of ``backward`` over a ``depth``-layer affine chain.
+
+    Returned in units of one ``shape`` array: the tape before ``backward``,
+    the peak above it, and what is live above the leaves when the first
+    layer's VJP runs, the last one the walk reaches.
+    """
+    rng = np.random.default_rng(0)
+    k = shape[-1]
+    tracemalloc.start()
+    try:
+        params = {"p": nm.Tensor(rng.normal(size=shape))}
+        for i in range(depth):
+            params[f"w{i}"] = nm.Tensor(rng.normal(size=(k, k)) / np.sqrt(k))
+            params[f"b{i}"] = nm.Tensor(np.zeros(k))
+        leaves = tracemalloc.get_traced_memory()[0]
+        first = x = nm.affine(params["p"], params["w0"], params["b0"])
+        for i in range(1, depth):
+            x = nm.affine(x, params[f"w{i}"], params[f"b{i}"])
+        loss = nm.tsum(x)
+        del x
+        live = []
+        vjp = first._vjp
+
+        def probe(grad):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return vjp(grad)
+
+        first._vjp = probe
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        nm.backward(loss, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 8 * np.prod(shape)
+    return {"tape": tape / unit, "peak_above_tape": (peak - tape) / unit,
+            "live_at_first": (live[0] - leaves) / unit}
+
+
 class TestBackward:
     def test_sum_gradient(self):
         p = nm.Tensor([1.0, 5.0, -2.0])
@@ -229,6 +269,31 @@ class TestBackward:
         shallow, deep = _backward_peak_bytes(4), _backward_peak_bytes(40)
         assert deep < shallow + 8 * 10**6, (shallow, deep)
 
+    def test_consumed_tape_freed_as_walked(self):
+        # The tape is 12 arrays above its leaves. The peak adds the incoming
+        # gradient and one more array: the weight gradient's batched product
+        # is reduced before the input gradient is allocated. By the first
+        # layer, the walk has freed every later layer's output.
+        figures = _affine_chain_backward(12)
+        assert figures["tape"] > 12, figures
+        assert figures["peak_above_tape"] < 2.5, figures
+        assert figures["live_at_first"] < 3.0, figures
+
+    def test_second_backward_rejected(self):
+        p = nm.Tensor([1.0, -2.0])
+        h = p * 3.0
+        loss = nm.tsum(h * h)
+        nm.backward(loss, {"p": p})
+        with pytest.raises(ContractError, match="consumed") as excinfo:
+            nm.backward(loss, {"p": p})
+        assert "no_tape" not in str(excinfo.value)
+        # A new loss through a consumed interior node raises, never zeros.
+        with pytest.raises(ContractError, match="consumed"):
+            nm.backward(nm.tsum(h + 1.0), {"p": p})
+        with pytest.raises(ContractError, match="consumed"):
+            h._vjp(np.ones(2))
+        assert h._parents == () and p._parents == ()
+
     def test_constant_operand_gets_no_gradient(self):
         p = nm.Tensor([1.0, -2.0])
         arr = np.array([3.0, 4.0])
@@ -238,6 +303,10 @@ class TestBackward:
         assert (p + 2.0)._vjp(grad)[1] is None
         assert (3.0 - p)._vjp(grad)[0] is None
         assert (1.0 / p)._vjp(grad)[0] is None
+        m, w = nm.Tensor([[1.0, 2.0]]), nm.Tensor([[3.0], [4.0]])
+        assert nm.matmul(m.data, w)._vjp(np.ones((1, 1)))[0] is None
+        assert nm.matmul(m, w.data)._vjp(np.ones((1, 1)))[1] is None
+        assert nm.affine(m.data, w, np.zeros(1))._vjp(np.ones((1, 1)))[::2] == (None, None)
         # A Tensor operand still gets its gradient, and so does ``p``.
         g_p, g_t = nm.mul(p, nm.Tensor(arr))._vjp(grad)
         assert np.array_equal(g_p, grad * arr) and np.array_equal(g_t, grad * p.data)
@@ -426,15 +495,24 @@ class TestPrimitiveGradients:
 
 class TestFiniteGuard:
     def test_division_by_zero_surfaces(self):
-        with pytest.raises(NumericsError):
-            nm.div(nm.Tensor([1.0]), nm.Tensor([0.0]))
+        with pytest.raises(NumericsError, match=r"'div' from inputs \(2, 3\) and \(2, 1\)$"):
+            nm.div(nm.Tensor(np.ones((2, 3))), nm.Tensor(np.zeros((2, 1))))
 
     def test_sqrt_of_negative_surfaces(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match=r"'sqrt' from input \(1,\)$"):
             nm.sqrt(nm.Tensor([-1.0]))
+        with nm.no_tape():
+            with pytest.raises(NumericsError, match=r"'sqrt' from input \(1,\)$"):
+                nm.sqrt(nm.Tensor([-1.0]))
+
+    def test_overflow_names_every_input(self):
+        with pytest.raises(NumericsError,
+                           match=r"'affine' from inputs \(1, 1\), \(1, 1\) and \(1,\)$"), \
+                np.errstate(over="ignore"):
+            nm.affine(nm.Tensor([[1e308]]), nm.Tensor([[10.0]]), nm.Tensor([0.0]))
 
     def test_nan_input_rejected(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="'tensor'$"):
             nm.Tensor([np.nan])
 
 

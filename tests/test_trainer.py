@@ -5,9 +5,9 @@ from conformer import numerics as nm
 from conformer import trainer
 from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
                             chronological_split, make_windows, synth_generate)
-from conformer.errors import ConfigError
+from conformer.errors import ConfigError, ValidationError
 from conformer.graph import GraphSpec, normalize_adjacency
-from conformer.model import ConFormerConfig, forward, init_params
+from conformer.model import ABLATIONS, ConFormerConfig, forward, init_params
 from conformer.trainer import (EarlyStopper, TrainConfig, evaluate,
                                evaluate_forecasts, evaluate_historical_inertia,
                                historical_inertia, masked_mae_loss,
@@ -30,6 +30,47 @@ def tiny_cfg(bundle, **kw):
                 n_reg_codes=len(bundle.reg_vocab))
     base.update(kw)
     return ConFormerConfig(**base)
+
+
+def reference_backward(loss, params):
+    """The reverse pass that keeps its tape: every node stays linked.
+
+    The loop of ``nm.backward`` before it consumed the tape, kept as the
+    reference its gradients must match bitwise.
+    """
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    wanted = {id(p) for p in params.values()}
+    reaches, flows = set(), set()
+    for node in topo:
+        if any(id(parent) in reaches for parent in node._parents):
+            flows.add(id(node))
+            reaches.add(id(node))
+        elif id(node) in wanted:
+            reaches.add(id(node))
+    grads = {id(loss): np.ones(loss.shape)}
+    for node in reversed(topo):
+        key = id(node)
+        if key not in flows or key not in grads:
+            continue
+        grad = grads[key] if key in wanted else grads.pop(key)
+        for parent, pgrad in zip(node._parents, node._vjp(grad)):
+            pkey = id(parent)
+            if pgrad is None or pkey not in reaches:
+                continue
+            grads[pkey] = grads[pkey] + pgrad if pkey in grads else pgrad
+    return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in params.items()}
 
 
 class TestEarlyStopper:
@@ -110,6 +151,35 @@ class TestTraining:
         cfg = tiny_cfg(bundle, t_in=20, t_out=20)
         with pytest.raises(ConfigError, match="too short"):
             train(bundle, cfg, TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("ablation", ("",) + ABLATIONS)
+    def test_consuming_backward_matches_reference_bitwise(self, ablation):
+        # The criterion-8 model at small widths: batched windows, K=2,
+        # 4 heads, dropout on, random weights so every branch is live.
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle, k_hops=2, n_heads=4,
+                       ablations=(ablation,) if ablation else ())
+        params = init_params(cfg, seed=1)
+        rng = np.random.default_rng(2)
+        params.replace({n: rng.normal(0, 0.3, t.shape) for n, t in params.entries()})
+        stats = NormalizationStats(50.0, 10.0)
+        t0s = np.array([0, 3, 9])
+        x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
+        y = bundle.values[t0s[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
+        op = normalize_adjacency(bundle.graph)
+        named = dict(params.entries())
+
+        def loss():
+            pred = forward(x, acc, reg, t0s, op, params, cfg,
+                           dropout_rng=np.random.default_rng(3))
+            return masked_mae_loss(pred, y, stats)
+
+        expected = reference_backward(loss(), named)
+        record = nm.backward(loss(), named)
+        assert record.keys() == expected.keys()
+        for name, grad in expected.items():
+            assert record[name].tobytes() == grad.tobytes(), name
+        assert any(np.abs(g).max() > 0 for n, g in record.items() if ".attn." in n)
 
     def test_attention_gradients_zero_at_fresh_init(self):
         """alpha = 0 blocks the branch, so attention projections get exactly
@@ -219,6 +289,27 @@ class TestEvaluate:
         predict_windows(params, bundle, [0, 1, 2], NormalizationStats(50.0, 10.0),
                         batch_size=2)
         assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size_rejected(self, batch_size):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        params = init_params(cfg, seed=2)
+        stats = NormalizationStats(50.0, 10.0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            predict_windows(params, bundle, [0, 1, 2], stats, batch_size=batch_size)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(params, bundle, chronological_split(bundle.n_steps), "test", [1],
+                     stats, batch_size=batch_size)
+
+    @pytest.mark.parametrize("start", [-1, 46])
+    def test_window_outside_data_rejected(self, start):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        params = init_params(cfg, seed=2)
+        assert bundle.n_steps == 48
+        with pytest.raises(ValidationError, match=rf"window start {start} .*\[0, 45\]"):
+            predict_windows(params, bundle, [0, start], NormalizationStats(50.0, 10.0))
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-2"])
     def test_bad_thread_count_rejected(self, monkeypatch, value):
