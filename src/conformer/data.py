@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import CalendarIndexer
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, normalize_adjacency
 
@@ -59,6 +60,7 @@ class DatasetBundle:
         if self.interval_minutes < 1 or 1440 % self.interval_minutes != 0:
             raise ValidationError(
                 f"interval_minutes must divide 1440, got {self.interval_minutes}")
+        CalendarIndexer(self.steps_per_day, self.start_weekday, self.start_slot)
         for name, ids, vocab in (("acc", self.acc_ids, self.acc_vocab),
                                  ("reg", self.reg_ids, self.reg_vocab)):
             if ids.size and (ids.min() < 0 or ids.max() >= len(vocab)):

@@ -22,19 +22,19 @@ parameter, so the arithmetic primitives, ``matmul`` and ``affine`` give it no
 gradient (``None`` in its VJP slot) instead of a full-size product or
 reduction.
 
-``backward`` walks only the nodes that reach a parameter and drops each
-interior gradient as soon as its node's VJP has used it, so the reverse
-pass holds a few gradients at a time rather than one per node. It also
-consumes the tape as it walks: each interior node it has visited loses its
-parents and its VJP, so each forward array is freed once the last VJP that
-reads it has run. A tape can be differentiated once; a second ``backward``
-through any of its nodes raises ``ContractError``.
+``backward`` runs a node's VJP once a gradient has reached it, and keeps a
+parent's gradient only when the parent is an interior node or a requested
+parameter. It drops each interior gradient once its node's VJP has used it,
+and consumes the tape as it walks: a visited node loses its parents and its
+VJP, so each forward array is freed after the last VJP that reads it. A node
+with a VJP slot but no parents, consumed by an earlier ``backward`` or built
+under ``no_tape``, cannot be differentiated through: ``backward`` raises
+``ContractError`` on meeting one.
 
 Inside ``with no_tape():`` (per thread) a node keeps its data and its
 finiteness check but gets no parents, and a stub that raises stands in for
 its VJP, so each intermediate is freed as soon as Python drops it.
-Inference runs this way; ``backward`` on a loss built there raises
-``ContractError``.
+Inference runs this way.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _as_array(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
 
 
 def _check_finite(arr: Array, op: str, inputs: tuple = ()) -> Array:
@@ -89,35 +84,19 @@ def _untaped(grad: Array):
     raise ContractError("this node was built under no_tape and has no VJP")
 
 
-def _link(node: "Tensor", parents: tuple, vjp: Callable | None) -> None:
-    """Record a node's parents and VJP; under ``no_tape`` it keeps neither."""
-    if parents and getattr(_TAPE, "off", False):
-        parents, vjp = (), _untaped
-    node._parents, node._vjp = parents, vjp
-
-
-def _structural(data: Array, parents: tuple, vjp: Callable) -> "Tensor":
-    """A node whose values are rearranged from finite parents: no check."""
-    node = Tensor.__new__(Tensor)
-    node.data = data
-    _link(node, parents, vjp)
-    return node
-
-
 class Tensor:
     """Immutable dense array node in the autodiff graph.
 
-    Leaf tensors are created from raw values; interior nodes remember their
-    parents and a ``vjp`` callback mapping the output gradient to per-parent
-    gradients. ``data`` must never be mutated after construction.
+    ``Tensor(values)`` builds a leaf; ``_node`` builds every interior node,
+    with its parents and a ``vjp`` callback mapping the output gradient to
+    per-parent gradients. ``data`` must never be mutated after construction.
     """
 
     __slots__ = ("data", "_parents", "_vjp")
 
-    def __init__(self, values, _parents: tuple = (), _vjp: Callable | None = None,
-                 _op: str = "tensor"):
-        self.data = _check_finite(_as_array(values), _op, _parents)
-        _link(self, _parents, _vjp)
+    def __init__(self, values):
+        self.data = _check_finite(np.asarray(values, dtype=np.float64), "tensor")
+        self._parents, self._vjp = (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -174,6 +153,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node(data, parents: tuple, vjp: Callable, op: str | None = None) -> Tensor:
+    """The output of a primitive; under ``no_tape`` it keeps no parents.
+
+    A named ``op`` is checked for finiteness. ``op=None`` marks a structural
+    primitive, which only rearranges values of finite parents and skips it.
+    """
+    node = Tensor.__new__(Tensor)
+    # A full ``tsum`` returns a numpy scalar; the node holds a 0-d array.
+    node.data = np.asarray(data, dtype=np.float64)
+    if op is not None:
+        _check_finite(node.data, op, parents)
+    if getattr(_TAPE, "off", False):
+        parents, vjp = (), _untaped
+    node._parents, node._vjp = parents, vjp
+    return node
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -204,7 +200,7 @@ def _binary(a, b, op: str, fwd, vjp_a, vjp_b) -> Tensor:
         return (None if const_a else _unbroadcast(vjp_a(grad, a.data, b.data), a.shape),
                 None if const_b else _unbroadcast(vjp_b(grad, a.data, b.data), b.shape))
 
-    return Tensor(out_data, (a, b), vjp, op)
+    return _node(out_data, (a, b), vjp, op)
 
 
 def add(a, b) -> Tensor:
@@ -272,7 +268,7 @@ def matmul(a, b) -> Tensor:
     def vjp(grad: Array):
         return _matmul_vjp(grad, a, b, const_a, const_b)
 
-    return Tensor(out_data, (a, b), vjp, "matmul")
+    return _node(out_data, (a, b), vjp, "matmul")
 
 
 def affine(x, w, b) -> Tensor:
@@ -295,7 +291,7 @@ def affine(x, w, b) -> Tensor:
         return _matmul_vjp(grad, x, w, const_x, const_w) + (
             None if const_b else _unbroadcast(grad, b.shape),)
 
-    return Tensor(out_data, (x, w, b), vjp, "affine")
+    return _node(out_data, (x, w, b), vjp, "affine")
 
 
 def transpose(x, axes: Sequence[int]) -> Tensor:
@@ -306,7 +302,7 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (grad.transpose(inv),)
 
-    return _structural(x.data.transpose(axes), (x,), vjp)
+    return _node(x.data.transpose(axes), (x,), vjp)
 
 
 def moveaxis(x, src: int, dst: int) -> Tensor:
@@ -324,7 +320,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (grad.reshape(old),)
 
-    return _structural(x.data.reshape(shape), (x,), vjp)
+    return _node(x.data.reshape(shape), (x,), vjp)
 
 
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
@@ -337,7 +333,7 @@ def broadcast_to(x, shape: Sequence[int]) -> Tensor:
     def vjp(grad: Array):
         return (_unbroadcast(grad, old),)
 
-    return _structural(np.broadcast_to(x.data, shape).copy(), (x,), vjp)
+    return _node(np.broadcast_to(x.data, shape).copy(), (x,), vjp)
 
 
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -350,7 +346,7 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         g = grad if keepdims else np.expand_dims(grad, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp, "sum")
+    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp, "sum")
 
 
 def mean_last_axis(x, keepdims: bool = True) -> Tensor:
@@ -367,7 +363,7 @@ def sqrt(x) -> Tensor:
     def vjp(grad: Array):
         return (grad * 0.5 / out_data,)
 
-    return Tensor(out_data, (x,), vjp, "sqrt")
+    return _node(out_data, (x,), vjp, "sqrt")
 
 
 def absolute(x) -> Tensor:
@@ -376,7 +372,7 @@ def absolute(x) -> Tensor:
     def vjp(grad: Array):
         return (grad * np.sign(x.data),)
 
-    return Tensor(np.abs(x.data), (x,), vjp, "abs")
+    return _node(np.abs(x.data), (x,), vjp, "abs")
 
 
 def gelu(x) -> Tensor:
@@ -402,7 +398,7 @@ def gelu(x) -> Tensor:
         pdf *= grad
         return (pdf,)
 
-    return Tensor(x.data * cdf, (x,), vjp, "gelu")
+    return _node(x.data * cdf, (x,), vjp, "gelu")
 
 
 def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
@@ -428,7 +424,7 @@ def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
         g *= scale
         return (g,)
 
-    return Tensor(out_data, (x,), vjp, "softmax")
+    return _node(out_data, (x,), vjp, "softmax")
 
 
 def concat_last_axis(parts: Iterable) -> Tensor:
@@ -446,7 +442,7 @@ def concat_last_axis(parts: Iterable) -> Tensor:
     def vjp(grad: Array):
         return tuple(np.split(grad, splits, axis=-1))
 
-    return _structural(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
 def slice_last_axis(x, start: int, stop: int) -> Tensor:
@@ -462,7 +458,7 @@ def slice_last_axis(x, start: int, stop: int) -> Tensor:
         return (full,)
 
     # A view: ``x`` is on the tape already and tensor data is never mutated.
-    return _structural(x.data[..., start:stop], (x,), vjp)
+    return _node(x.data[..., start:stop], (x,), vjp)
 
 
 def gather_rows(table, ids: Array) -> Tensor:
@@ -487,7 +483,7 @@ def gather_rows(table, ids: Array) -> Tensor:
         np.add.at(g, ids.reshape(-1), grad.reshape(-1, table.shape[1]))
         return (g,)
 
-    return _structural(table.data[ids], (table,), vjp)
+    return _node(table.data[ids], (table,), vjp)
 
 
 def mean_std_last_axis(x, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
@@ -519,17 +515,16 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     """Gradient of a scalar ``loss`` with respect to each named parameter.
 
     Parameters not reachable from ``loss`` get a zero gradient of matching
-    shape. The returned record maps each name to exactly one array.
-
-    Only nodes that reach a parameter get a gradient, and a VJP runs only on
-    a node with such a parent. Each interior gradient is dropped once its
-    node's VJP has used it; only the parameters' gradients are kept, leaves
-    or not.
+    shape. One rule decides what is differentiated: a node's VJP runs once a
+    gradient has reached it, and a parent keeps its gradient only when it is
+    an interior node or a requested parameter. Interior gradients are dropped
+    once used; only the parameters' gradients are kept, leaves or not.
 
     The tape is consumed once: each interior node, once visited, loses its
     parents and its VJP (a stub that raises takes its place), so every
-    forward array is freed after the last VJP that reads it. A second
-    ``backward`` through any node of the same tape raises ``ContractError``.
+    forward array is freed after the last VJP that reads it. ``backward``
+    raises ``ContractError`` on a node with a VJP slot but no parents: one
+    consumed by an earlier ``backward`` or built under ``no_tape``.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -544,57 +539,38 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
             continue
         if id(node) in seen:
             continue
-        if node._vjp is _consumed:
-            raise ContractError(
-                f"backward: the tape through a {node.shape} node was consumed by an "
-                "earlier backward; build the loss again to differentiate it")
+        if node._vjp is not None and not node._parents:
+            why = ("was consumed by an earlier backward; build the loss again to "
+                   "differentiate it" if node._vjp is _consumed else
+                   "was never recorded: the node was built under no_tape")
+            raise ContractError(f"backward: the tape through a {node.shape} node {why}")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    if loss._vjp is not None and not loss._parents:
-        # Only a node built under no_tape has a VJP slot but no parents.
-        raise ContractError("backward: the loss was built under no_tape, so there "
-                            "is no tape to differentiate")
 
-    # Parents precede children in ``topo``: a node reaches a parameter when
-    # it is one or one of its parents does; ``flows`` holds the nodes whose
-    # VJP has a parent to feed.
+    # Parents precede children in ``topo``. Every child of ``topo[i]`` comes
+    # after it, so once the walk has cleared those children and its own
+    # slot, nothing on the tape holds the node.
     wanted = {id(p) for p in params.values()}
-    reaches: set[int] = set()
-    flows: set[int] = set()
-    for node in topo:
-        if any(id(parent) in reaches for parent in node._parents):
-            flows.add(id(node))
-            reaches.add(id(node))
-        elif id(node) in wanted:
-            reaches.add(id(node))
-
-    # Every child of ``topo[i]`` comes after it, so once the walk has cleared
-    # those children and its own slot, nothing on the tape holds the node.
     grads: dict[int, Array] = {id(loss): np.ones(loss.shape)}
     for i in range(len(topo) - 1, -1, -1):
         node, topo[i] = topo[i], None
         if not node._parents:
             continue
         key = id(node)
-        if key in flows and key in grads:
+        if key in grads:
             grad = grads[key] if key in wanted else grads.pop(key)
             for parent, pgrad in zip(node._parents, node._vjp(grad)):
                 pkey = id(parent)
-                if pgrad is None or pkey not in reaches:
+                if pgrad is None or not (parent._parents or pkey in wanted):
                     continue
-                if pkey in grads:
-                    grads[pkey] = grads[pkey] + pgrad
-                else:
-                    grads[pkey] = pgrad
+                grads[pkey] = grads[pkey] + pgrad if pkey in grads else pgrad
         node._parents, node._vjp = (), _consumed
 
     record: dict[str, Array] = {}
     for name, p in params.items():
-        if name in record:
-            raise ContractError(f"backward: duplicate parameter name '{name}'")
         g = grads.get(id(p))
         record[name] = np.zeros(p.shape) if g is None else np.asarray(g)
         if record[name].shape != p.shape:

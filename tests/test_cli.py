@@ -62,6 +62,15 @@ class TestSynth:
         with open(os.path.join(out, "incidents.csv")) as fh:
             assert fh.read() == "t,node,kind,code\n"
 
+    def test_calendar_its_loader_rejects_never_written(self, tmp_path, capsys):
+        bad = tmp_path / "cal.json"
+        bad.write_text(json.dumps({"synth": {"interval_minutes": 60,
+                                             "start_weekday": 9, "start_slot": 30}}))
+        out = tmp_path / "x"
+        assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+        assert "start_weekday" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"models": {}}))
@@ -177,10 +186,15 @@ class TestEvaluatePredictFlops:
         assert lines[0] == "step,node0,node1,node2,node3"
         assert len(lines) == 1 + 3  # header + t_out rows
 
-    def test_predict_out_of_range(self, tmp_path, trained):
+    def test_predict_out_of_range(self, tmp_path, trained, capsys):
         data, ckpt = trained
-        assert main(["predict", "--checkpoint", ckpt, "--data", data,
-                     "--at", "99999", "--out", str(tmp_path / "p")]) == 1
+        n_steps = 2 * 24  # the synth fixture: 2 days at 60 minutes
+        for at in ("99999", "-1"):
+            assert main(["predict", "--checkpoint", ckpt, "--data", data,
+                         "--at", at, "--out", str(tmp_path / "p")]) == 1
+            err = capsys.readouterr().err
+            assert f"window start {at} " in err and f"[0, {n_steps - 3}]" in err, err
+        assert not os.path.exists(tmp_path / "p")
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("extra, message", [

@@ -58,6 +58,17 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match="1440"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("weekday, slot, message", [
+        (0, -1, "start_slot"), (0, 24, "start_slot"), (7, 0, "start_weekday"),
+        (-1, 0, "start_weekday")])
+    def test_calendar_outside_day_rejected(self, weekday, slot, message):
+        # interval_minutes=60 gives 24 slots a day: 0..23 are valid.
+        b = tiny_bundle()
+        with pytest.raises(ValidationError, match=message):
+            DatasetBundle(values=b.values, acc_ids=b.acc_ids, reg_ids=b.reg_ids,
+                          graph=b.graph, interval_minutes=60, start_weekday=weekday,
+                          start_slot=slot)
+
     @pytest.mark.parametrize("key, value", [
         ("n_nodes", "abc"), ("n_nodes", 0), ("n_steps", [1]), ("n_steps", -5),
         ("interval_minutes", 60.0), ("start_weekday", 9), ("start_weekday", True),

@@ -32,12 +32,8 @@ def tiny_cfg(bundle, **kw):
     return ConFormerConfig(**base)
 
 
-def reference_backward(loss, params):
-    """The reverse pass that keeps its tape: every node stays linked.
-
-    The loop of ``nm.backward`` before it consumed the tape, kept as the
-    reference its gradients must match bitwise.
-    """
+def _topo(loss):
+    """Every node that reaches ``loss``, parents before children."""
     topo, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -51,7 +47,14 @@ def reference_backward(loss, params):
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    wanted = {id(p) for p in params.values()}
+    return topo
+
+
+def _reachability(topo, wanted):
+    """The ids of nodes that reach a parameter, and of those whose VJP feeds one.
+
+    A node reaches a parameter when it is one or one of its parents does.
+    """
     reaches, flows = set(), set()
     for node in topo:
         if any(id(parent) in reaches for parent in node._parents):
@@ -59,6 +62,19 @@ def reference_backward(loss, params):
             reaches.add(id(node))
         elif id(node) in wanted:
             reaches.add(id(node))
+    return reaches, flows
+
+
+def reference_backward(loss, params):
+    """The reverse pass that keeps its tape and runs only VJPs on a parameter path.
+
+    The loop of ``nm.backward`` before it consumed the tape, with its
+    reachability sweep, kept as the reference its gradients must match
+    bitwise.
+    """
+    topo = _topo(loss)
+    wanted = {id(p) for p in params.values()}
+    reaches, flows = _reachability(topo, wanted)
     grads = {id(loss): np.ones(loss.shape)}
     for node in reversed(topo):
         key = id(node)
@@ -71,6 +87,30 @@ def reference_backward(loss, params):
                 continue
             grads[pkey] = grads[pkey] + pgrad if pkey in grads else pgrad
     return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in params.items()}
+
+
+def training_graph(ablation):
+    """A loss builder and the parameters of the criterion-8 model at small
+    widths: batched windows, K=2, 4 heads, dropout on, random weights so
+    every branch is live."""
+    bundle = tiny_bundle()
+    cfg = tiny_cfg(bundle, k_hops=2, n_heads=4,
+                   ablations=(ablation,) if ablation else ())
+    params = init_params(cfg, seed=1)
+    rng = np.random.default_rng(2)
+    params.replace({n: rng.normal(0, 0.3, t.shape) for n, t in params.entries()})
+    stats = NormalizationStats(50.0, 10.0)
+    t0s = np.array([0, 3, 9])
+    x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
+    y = bundle.values[t0s[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
+    op = normalize_adjacency(bundle.graph)
+
+    def loss():
+        pred = forward(x, acc, reg, t0s, op, params, cfg,
+                       dropout_rng=np.random.default_rng(3))
+        return masked_mae_loss(pred, y, stats)
+
+    return loss, dict(params.entries())
 
 
 class TestEarlyStopper:
@@ -154,32 +194,26 @@ class TestTraining:
 
     @pytest.mark.parametrize("ablation", ("",) + ABLATIONS)
     def test_consuming_backward_matches_reference_bitwise(self, ablation):
-        # The criterion-8 model at small widths: batched windows, K=2,
-        # 4 heads, dropout on, random weights so every branch is live.
-        bundle = tiny_bundle()
-        cfg = tiny_cfg(bundle, k_hops=2, n_heads=4,
-                       ablations=(ablation,) if ablation else ())
-        params = init_params(cfg, seed=1)
-        rng = np.random.default_rng(2)
-        params.replace({n: rng.normal(0, 0.3, t.shape) for n, t in params.entries()})
-        stats = NormalizationStats(50.0, 10.0)
-        t0s = np.array([0, 3, 9])
-        x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
-        y = bundle.values[t0s[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
-        op = normalize_adjacency(bundle.graph)
-        named = dict(params.entries())
-
-        def loss():
-            pred = forward(x, acc, reg, t0s, op, params, cfg,
-                           dropout_rng=np.random.default_rng(3))
-            return masked_mae_loss(pred, y, stats)
-
+        loss, named = training_graph(ablation)
         expected = reference_backward(loss(), named)
         record = nm.backward(loss(), named)
         assert record.keys() == expected.keys()
         for name, grad in expected.items():
             assert record[name].tobytes() == grad.tobytes(), name
         assert any(np.abs(g).max() > 0 for n, g in record.items() if ".attn." in n)
+
+    @pytest.mark.parametrize("ablation", ("",) + ABLATIONS)
+    def test_every_interior_node_reaches_a_parameter(self, ablation):
+        # ``nm.backward`` runs every VJP a gradient reaches. That matches the
+        # reference, which skips VJPs off the parameter path, only while the
+        # model puts no Tensor-wrapped constant on its path.
+        loss, named = training_graph(ablation)
+        topo = _topo(loss())
+        reaches, _ = _reachability(topo, {id(p) for p in named.values()})
+        interior = [node for node in topo if node._parents]
+        assert len(interior) > 50
+        off_path = [node.shape for node in interior if id(node) not in reaches]
+        assert off_path == []
 
     def test_attention_gradients_zero_at_fresh_init(self):
         """alpha = 0 blocks the branch, so attention projections get exactly
