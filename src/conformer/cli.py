@@ -16,7 +16,7 @@ from .errors import ConfigError, ConformerError, LoadError, ValidationError
 from .model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
                     load_checkpoint, save_checkpoint)
 from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
-                      predict_windows, train, write_history_csv)
+                      predict_windows, train)
 
 SECTIONS = ("model", "train", "synth")
 # Model config keys that must equal the dataset's: the time tables index on them.
@@ -111,7 +111,8 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, result.params, extra={
         "norm_mean": result.stats.mean, "norm_std": result.stats.std,
         "best_epoch": result.best_epoch})
-    write_history_csv(result.history, os.path.join(args.out, "history.csv"))
+    _write_rows(args.out, "history.csv", ["epoch,train_mae,val_mae"] + [
+        f"{r.epoch},{r.train_mae!r},{r.val_mae!r}" for r in result.history])
     _write_resolved(args.out, {"model": result.params.cfg.to_dict(),
                                "train": tcfg.to_dict()})
     best = result.history[result.best_epoch - 1]

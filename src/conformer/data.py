@@ -21,8 +21,6 @@ INCIDENTS_FILE = "incidents.csv"
 ADJACENCY_FILE = "adjacency.csv"
 META_FILE = "meta.json"
 
-TOPOLOGIES = ("ring", "grid", "random-geometric")
-
 
 @dataclass
 class DatasetBundle:
@@ -118,10 +116,10 @@ class SplitSpec:
             raise ConfigError(f"unknown split '{name}'") from None
 
 
-def chronological_split(n_steps: int, ratios=(6, 2, 2)) -> SplitSpec:
-    total = sum(ratios)
-    n_train = round(n_steps * ratios[0] / total)
-    n_val = round(n_steps * ratios[1] / total)
+def chronological_split(n_steps: int) -> SplitSpec:
+    """60% train, 20% validation and 20% test, in time order."""
+    n_train = round(n_steps * 6 / 10)
+    n_val = round(n_steps * 2 / 10)
     return SplitSpec(train=(0, n_train), val=(n_train, n_train + n_val),
                      test=(n_train + n_val, n_steps))
 
@@ -475,9 +473,9 @@ class SynthConfig:
     start_slot: int = 0
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(
-                f"unknown topology '{self.topology}', expected one of {TOPOLOGIES}")
+        if self.topology not in GRAPH_BUILDERS:
+            raise ConfigError(f"unknown topology '{self.topology}', "
+                              f"expected one of {tuple(GRAPH_BUILDERS)}")
         if self.n_nodes < 1 or self.days < 1:
             raise ConfigError("n_nodes and days must be >= 1")
         if self.interval_minutes < 1 or 1440 % self.interval_minutes != 0:
@@ -487,6 +485,13 @@ class SynthConfig:
             raise ConfigError("drop_factor and cap_fraction must be in (0, 1]")
         if self.duration_steps < 0 or self.recovery_steps < 0:
             raise ConfigError("duration_steps and recovery_steps must be >= 0")
+        for name in ("incident_rate", "regulation_rate", "node_offset_scale", "noise_scale"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.decay_hops < 0:
+            raise ConfigError(f"decay_hops must be >= 0, got {self.decay_hops}")
+        if not 0.0 <= self.attenuation <= 1.0:
+            raise ConfigError(f"attenuation must be in [0, 1], got {self.attenuation}")
 
 
 def _ring_graph(n: int) -> GraphSpec:
@@ -527,14 +532,12 @@ def _random_geometric_graph(n: int, rng: np.random.Generator) -> GraphSpec:
     return GraphSpec(n_nodes=n, edges=tuple(edges))
 
 
-def build_topology(name: str, n_nodes: int, rng: np.random.Generator) -> GraphSpec:
-    if name == "ring":
-        return _ring_graph(n_nodes)
-    if name == "grid":
-        return _grid_graph(n_nodes)
-    if name == "random-geometric":
-        return _random_geometric_graph(n_nodes, rng)
-    raise ConfigError(f"unknown topology '{name}'")
+# Topology name -> builder of an N-node graph from the graph's own generator.
+GRAPH_BUILDERS = {
+    "ring": lambda n, rng: _ring_graph(n),
+    "grid": lambda n, rng: _grid_graph(n),
+    "random-geometric": _random_geometric_graph,
+}
 
 
 def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
@@ -544,7 +547,7 @@ def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
     Spread follows the propagation operator so the footprint matches what the
     model's graph propagation can see.
     """
-    op = normalize_adjacency(graph, add_self_loops=True).matrix
+    op = normalize_adjacency(graph).matrix
     impact = np.zeros(graph.n_nodes)
     impact[source] = 1.0
     footprint = impact.copy()
@@ -576,7 +579,7 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     n = gen.n_nodes
     steps_per_day = 1440 // gen.interval_minutes
     t_total = gen.days * steps_per_day
-    graph = build_topology(gen.topology, n, graph_rng)
+    graph = GRAPH_BUILDERS[gen.topology](n, graph_rng)
 
     node_offset = rng.normal(0.0, gen.node_offset_scale, size=n)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -61,7 +61,8 @@ class GraphSpec:
 class PropagationOperator:
     """Row-normalized N x N propagation matrix with entries in [0, 1].
 
-    Each row sums to 1 (or to 0 for an isolated node without a self-loop).
+    Each row sums to 1, or to 0 for a node that sends nothing; only an
+    operator built directly has such a row.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -82,18 +83,13 @@ class PropagationOperator:
         return self.matrix.shape[0]
 
 
-def normalize_adjacency(g: GraphSpec, add_self_loops: bool = True) -> PropagationOperator:
-    """Build ``D^-1 (A [+ I])``, the random-walk propagation operator.
+def normalize_adjacency(g: GraphSpec) -> PropagationOperator:
+    """Build ``D^-1 (A + I)``, the random-walk propagation operator.
 
-    Rows of isolated nodes stay all-zero when self-loops are off.
+    The self-loops make every degree at least 1, so every row sums to 1.
     """
-    a = g.adjacency()
-    if add_self_loops:
-        a = a + np.eye(g.n_nodes)
-    degree = a.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(degree > 0, a / degree, 0.0)
-    return PropagationOperator(normalized)
+    a = g.adjacency() + np.eye(g.n_nodes)
+    return PropagationOperator(a / a.sum(axis=1, keepdims=True))
 
 
 def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:

@@ -97,10 +97,7 @@ class ConFormerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConFormerConfig":
-        d = dict(d)
-        d["ablations"] = tuple(d.get("ablations", ()))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
@@ -199,6 +196,8 @@ def count_params(cfg: ConFormerConfig) -> int:
 
 def estimate_flops(cfg: ConFormerConfig, n_edges: int) -> int:
     """Printed-formula FLOPs: ``K|E|D + (T N^2 D + N T^2 D) + N T D^2``."""
+    if n_edges < 0:
+        raise ConfigError(f"edge count must be >= 0, got {n_edges}")
     t, n, d = cfg.t_in, cfg.n_nodes, cfg.d_model
     return (cfg.k_hops * n_edges * d + (t * n * n * d + n * t * t * d)
             + n * t * d * d)

@@ -349,10 +349,10 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp, "sum")
 
 
-def mean_last_axis(x, keepdims: bool = True) -> Tensor:
+def mean_last_axis(x) -> Tensor:
     x = as_tensor(x)
     n = x.shape[-1]
-    return tsum(x, axis=-1, keepdims=keepdims) * (1.0 / n)
+    return tsum(x, axis=-1, keepdims=True) * (1.0 / n)
 
 
 def sqrt(x) -> Tensor:

@@ -30,8 +30,14 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.clip_norm < math.inf:
+            raise ConfigError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("patience, max_epochs and batch_size must be >= 1")
 
@@ -59,28 +65,6 @@ class TrainResult:
     history: list[EpochRecord]
     stats: NormalizationStats
     best_epoch: int
-
-
-class EarlyStopper:
-    """Tracks the best validation score and signals patience exhaustion.
-
-    ``update`` returns True when training should stop: the given epoch is
-    ``patience`` epochs past the best one without improvement.
-    """
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best_value = math.inf
-        self.best_epoch = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        if value < self.best_value:
-            self.best_value = value
-            self.best_epoch = epoch
-            return False
-        return epoch - self.best_epoch >= self.patience
 
 
 class AdamState:
@@ -242,12 +226,14 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
     Fully deterministic for a fixed seed.
     """
     split = split or chronological_split(bundle.n_steps)
-    train_windows = make_windows(bundle, split.train, cfg.t_in, cfg.t_out)
-    val_windows = make_windows(bundle, split.val, cfg.t_in, cfg.t_out)
-    if len(train_windows) == 0 or len(val_windows) == 0:
-        raise ConfigError(
-            f"train/val splits too short for T={cfg.t_in}, T'={cfg.t_out} "
-            f"(got {len(train_windows)}/{len(val_windows)} windows)")
+    train_windows, _ = _split_windows(bundle, split, "train", cfg.t_in, cfg.t_out)
+    val_windows, y_val = _split_windows(bundle, split, "val", cfg.t_in, cfg.t_out)
+    for name in ("train", "val"):
+        lo, hi = split.range_for(name)
+        # The split's windows forecast exactly its steps from lo + T on.
+        if not bundle.values[lo + cfg.t_in:hi].any():
+            raise ConfigError(f"split '{name}' has no observed target: every value in "
+                              f"steps [{lo + cfg.t_in}, {hi}) is 0 (missing)")
 
     lo, hi = split.train
     stats = fit_normalization(bundle.values[lo:hi])
@@ -260,10 +246,9 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
 
     params = init_params(cfg, seed=init_seed)
     adam = AdamState(params)
-    stopper = EarlyStopper(tcfg.patience)
 
     history: list[EpochRecord] = []
-    best_params = params.copy()
+    best_mae, best_epoch, best_params = math.inf, 0, params.copy()
 
     for epoch in range(1, tcfg.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_windows))
@@ -285,25 +270,15 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
             adam.step(params, grads, tcfg)
             epoch_losses.append(loss_val)
 
-        val_metrics = evaluate(params, bundle, split, "val", [], stats,
-                               batch_size=max(tcfg.batch_size, 64))
-        val_mae = val_metrics["average"].mae
+        val_mae = masked_metrics(y_val, predict_windows(
+            params, bundle, val_windows, stats, max(tcfg.batch_size, 64))).mae
         train_mae = float(np.mean(epoch_losses)) if epoch_losses else math.nan
         history.append(EpochRecord(epoch=epoch, train_mae=train_mae, val_mae=val_mae))
 
-        improved = val_mae < stopper.best_value
-        should_stop = stopper.update(epoch, val_mae)
-        if improved:
-            best_params = params.copy()
-        if should_stop:
+        if val_mae < best_mae:
+            best_mae, best_epoch, best_params = val_mae, epoch, params.copy()
+        elif epoch - best_epoch >= tcfg.patience:
             break
 
     return TrainResult(params=best_params, history=history, stats=stats,
-                       best_epoch=stopper.best_epoch)
-
-
-def write_history_csv(history: list[EpochRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_mae,val_mae\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.train_mae!r},{rec.val_mae!r}\n")
+                       best_epoch=best_epoch)

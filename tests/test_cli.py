@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conformer.cli import main
-from conformer.data import load_dataset
+from conformer.data import chronological_split, load_dataset, save_dataset
 from conformer.model import load_checkpoint, save_checkpoint
 
 
@@ -113,6 +113,17 @@ class TestTrain:
         assert resolved["model"]["ablations"] == ["no-accident"]
         params, _ = load_checkpoint(os.path.join(out, "checkpoint.cfmr"))
         assert params.cfg.ablations == ("no-accident",)
+
+    def test_split_without_observed_target_fails(self, tmp_path, tiny_config, capsys):
+        bundle = load_dataset(synth_dir(tmp_path, tiny_config))
+        lo, hi = chronological_split(bundle.n_steps).val
+        bundle.values[lo:hi] = 0.0
+        data, out = str(tmp_path / "blank-val"), tmp_path / "o"
+        save_dataset(bundle, data)
+        assert main(["train", "--data", data, "--config", tiny_config,
+                     "--out", str(out)]) == 1
+        assert "split 'val' has no observed target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_fails_before_training(self, tmp_path, tiny_config):
         assert main(["train", "--data", str(tmp_path / "nope"),
@@ -254,6 +265,10 @@ class TestEvaluatePredictFlops:
 
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1
+
+    def test_flops_negative_edge_count_rejected(self, capsys):
+        assert main(["flops", "--edges", "-5"]) == 1
+        assert "edge count must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["--t-in", "2000"], "split 'test' too short"),

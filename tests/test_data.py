@@ -506,6 +506,19 @@ class TestSynthGenerate:
             with pytest.raises(ConfigError, match="duration_steps and recovery_steps"):
                 SynthConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("incident_rate", -0.1), ("incident_rate", float("nan")),
+        ("incident_rate", float("inf")), ("regulation_rate", -1.0),
+        ("regulation_rate", float("nan")), ("noise_scale", -1.0),
+        ("node_offset_scale", -0.5), ("node_offset_scale", float("inf")),
+        ("decay_hops", -1), ("attenuation", 3.0), ("attenuation", -0.1),
+        ("attenuation", float("nan")),
+    ])
+    def test_value_that_breaks_generation_rejected(self, field, value):
+        # numpy would raise a bare ValueError, or the value would be ignored.
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{field: value})
+
     def test_incident_window_filter(self):
         gen = SynthConfig(n_nodes=4, days=2, interval_minutes=30, incident_rate=2.0)
         bundle = synth_generate(gen, seed=10)

@@ -54,24 +54,29 @@ class TestGraphSpec:
 class TestNormalizeAdjacency:
     def test_self_loops_only_gives_identity(self):
         g = GraphSpec(3, tuple((i, i, 1.0) for i in range(3)))
-        op = normalize_adjacency(g, add_self_loops=False)
+        op = normalize_adjacency(g)
         assert np.array_equal(op.matrix, np.eye(3))
 
     def test_two_node_swap(self):
         g = GraphSpec(2, ((0, 1, 1.0), (1, 0, 1.0)))
-        op = normalize_adjacency(g, add_self_loops=False)
-        assert np.array_equal(op.matrix, [[0.0, 1.0], [1.0, 0.0]])
+        op = normalize_adjacency(g)
+        assert np.array_equal(op.matrix, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_weighted_chain_row_normalization(self):
-        # node 0 sends weight 2 to node 1 and weight 1 to node 2
+        # node 0 sends weight 2 to node 1 and weight 1 to node 2, plus its
+        # self-loop of weight 1
         g = GraphSpec(3, ((0, 1, 2.0), (0, 2, 1.0)))
-        op = normalize_adjacency(g, add_self_loops=False)
-        assert np.allclose(op.matrix[0], [0.0, 2.0 / 3.0, 1.0 / 3.0])
+        op = normalize_adjacency(g)
+        assert np.allclose(op.matrix[0], [1.0 / 4.0, 2.0 / 4.0, 1.0 / 4.0])
 
-    def test_isolated_node_row_is_zero(self):
+    def test_isolated_node_row_is_its_self_loop(self):
         g = GraphSpec(3, ((0, 1, 1.0),))
-        op = normalize_adjacency(g, add_self_loops=False)
-        assert np.array_equal(op.matrix[2], np.zeros(3))
+        op = normalize_adjacency(g)
+        assert np.array_equal(op.matrix[2], [0.0, 0.0, 1.0])
+
+    def test_zero_row_accepted_when_built_directly(self):
+        op = PropagationOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(op.matrix[1], [0.0, 0.0])
 
     def test_rows_sum_to_one_with_self_loops(self):
         rng = np.random.default_rng(0)
@@ -98,8 +103,7 @@ class TestPropagate:
         assert np.array_equal(out.data, x)
 
     def test_zero_adjacency_zero_hop_blocks(self):
-        g = GraphSpec(3, ())
-        op = normalize_adjacency(g, add_self_loops=False)
+        op = PropagationOperator(np.zeros((3, 3)))
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 2))
         out = propagate(nm.Tensor(x), op, 2).data

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
 from conformer.errors import ConfigError, ValidationError
 from conformer.graph import GraphSpec, normalize_adjacency
 from conformer.model import ABLATIONS, ConFormerConfig, forward, init_params
-from conformer.trainer import (EarlyStopper, TrainConfig, evaluate,
+from conformer.trainer import (TrainConfig, evaluate,
                                evaluate_forecasts, evaluate_historical_inertia,
                                historical_inertia, masked_mae_loss,
                                predict_windows, train)
@@ -113,30 +115,27 @@ def training_graph(ablation):
     return loss, dict(params.entries())
 
 
-class TestEarlyStopper:
-    def test_patience_contract(self):
-        # val sequence [5, 4, 4.1, 4.2] with patience 2: stop after epoch 4,
-        # best is epoch 2
-        stopper = EarlyStopper(patience=2)
-        decisions = [stopper.update(e, v)
-                     for e, v in enumerate([5.0, 4.0, 4.1, 4.2], start=1)]
-        assert decisions == [False, False, False, True]
-        assert stopper.best_epoch == 2
-
-    def test_improvement_resets_patience(self):
-        stopper = EarlyStopper(patience=2)
-        values = [5.0, 4.9, 4.8, 4.7]
-        assert not any(stopper.update(e, v) for e, v in enumerate(values, 1))
-
-    def test_bad_patience(self):
-        with pytest.raises(ConfigError):
-            EarlyStopper(patience=0)
-
-
 class TestTrainConfig:
     def test_zero_learning_rate_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("inf")),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", float("nan")),
+        ("clip_norm", -1.0), ("clip_norm", float("inf")), ("clip_norm", float("nan")),
+    ])
+    def test_value_that_breaks_a_run_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_clip_norm_accepted(self):
+        assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
+
+    def test_zero_patience_rejected(self):
+        with pytest.raises(ConfigError, match="patience"):
+            TrainConfig(patience=0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -185,6 +184,51 @@ class TestTraining:
         result = train(bundle, cfg, tcfg)
         best = min(result.history, key=lambda h: h.val_mae)
         assert result.best_epoch == best.epoch
+
+    @staticmethod
+    def scripted_train(monkeypatch, val_maes, patience, max_epochs):
+        """Train the tiny model with ``val_maes`` as the per-epoch validation
+        MAEs; also returns the parameters each validation saw."""
+        seen = []
+
+        def recording_predict(params, *args):
+            seen.append(params.copy())
+            return predict_windows(params, *args)
+
+        scripted = iter(val_maes)
+        monkeypatch.setattr(trainer, "predict_windows", recording_predict)
+        monkeypatch.setattr(trainer, "masked_metrics",
+                            lambda y, y_hat: SimpleNamespace(mae=next(scripted)))
+        bundle = tiny_bundle()
+        result = train(bundle, tiny_cfg(bundle), TrainConfig(
+            learning_rate=5e-3, batch_size=8, max_epochs=max_epochs, patience=patience))
+        return result, seen
+
+    def test_stops_patience_epochs_after_the_best(self, monkeypatch):
+        result, seen = self.scripted_train(monkeypatch, [5.0, 4.0, 4.1, 4.2],
+                                           patience=2, max_epochs=10)
+        assert [h.val_mae for h in result.history] == [5.0, 4.0, 4.1, 4.2]
+        assert result.best_epoch == 2
+
+        def raw(params):
+            return [t.data.tobytes() for _, t in params.entries()]
+
+        assert raw(result.params) == raw(seen[1]) != raw(seen[3])
+
+    def test_improvement_resets_patience(self, monkeypatch):
+        result, _ = self.scripted_train(monkeypatch, [5.0, 4.9, 4.8, 4.7],
+                                        patience=1, max_epochs=4)
+        assert len(result.history) == 4 and result.best_epoch == 4
+
+    @pytest.mark.parametrize("split_name", ["train", "val"])
+    def test_split_without_observed_target_rejected(self, split_name):
+        # Zeros mean missing: such a split would train nothing or never
+        # score an epoch.
+        bundle = tiny_bundle()
+        lo, hi = chronological_split(bundle.n_steps).range_for(split_name)
+        bundle.values[lo:hi] = 0.0
+        with pytest.raises(ConfigError, match=f"split '{split_name}' has no observed target"):
+            train(bundle, tiny_cfg(bundle), TrainConfig(max_epochs=1))
 
     def test_split_too_short_rejected(self):
         bundle = tiny_bundle()
