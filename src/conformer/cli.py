@@ -7,14 +7,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .data import (DatasetBundle, NormalizationStats, SynthConfig,
                    chronological_split, load_dataset, save_dataset,
                    synth_generate)
 from .errors import ConfigError, ConformerError, LoadError, ValidationError
-from .model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
-                    load_checkpoint, save_checkpoint)
+from .model import (ABLATIONS, ConFormerConfig, config_from_dict, count_params,
+                    estimate_flops, load_checkpoint, save_checkpoint)
 from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
                       predict_windows, train)
 
@@ -30,13 +30,15 @@ def load_run_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise ConformerError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConformerError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(SECTIONS)
-    if unknown:
-        raise ConformerError(f"{path}: unknown config sections {sorted(unknown)}")
+    for name, section in raw.items():
+        if name not in SECTIONS:
+            raise ConformerError(f"{path}: unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: {name} section must be a JSON object, got {section!r}")
     return raw
 
 
@@ -50,18 +52,14 @@ def _check_calendar(model: dict, bundle: DatasetBundle, what: str) -> None:
 
 def resolve_model_config(section: dict, bundle: DatasetBundle | None,
                          ablate: list[str]) -> ConFormerConfig:
-    merged = dict(section)
     if bundle is not None:
-        _check_calendar(merged, bundle, "model config")
-        merged.setdefault("n_nodes", bundle.n_nodes)
-        merged.setdefault("steps_per_day", bundle.steps_per_day)
-        merged.setdefault("start_weekday", bundle.start_weekday)
-        merged.setdefault("start_slot", bundle.start_slot)
-        merged.setdefault("n_acc_codes", len(bundle.acc_vocab))
-        merged.setdefault("n_reg_codes", len(bundle.reg_vocab))
-    if ablate:
-        merged["ablations"] = sorted(set(merged.get("ablations", [])) | set(ablate))
-    return ConFormerConfig.from_dict(merged)
+        _check_calendar(section, bundle, "model config")
+        section = {"n_nodes": bundle.n_nodes, "steps_per_day": bundle.steps_per_day,
+                   "start_weekday": bundle.start_weekday, "start_slot": bundle.start_slot,
+                   "n_acc_codes": len(bundle.acc_vocab), "n_reg_codes": len(bundle.reg_vocab),
+                   **section}
+    cfg = config_from_dict(ConFormerConfig, section, "model")
+    return replace(cfg, ablations=cfg.ablations + tuple(ablate)) if ablate else cfg
 
 
 def _write_rows(out_dir, name: str, rows: list[str]) -> str:
@@ -80,12 +78,9 @@ def _write_resolved(out_dir, payload: dict) -> None:
 def cmd_synth(args) -> int:
     raw = load_run_config(args.config)
     section = dict(raw.get("synth", {}))
-    unknown = set(section) - set(SynthConfig.__dataclass_fields__)
-    if unknown:
-        raise ConformerError(f"unknown synth config keys: {sorted(unknown)}")
     if args.incident_rate is not None:
         section["incident_rate"] = args.incident_rate
-    gen = SynthConfig(**section)
+    gen = config_from_dict(SynthConfig, section, "synth")
     bundle = synth_generate(gen, seed=args.seed)
     save_dataset(bundle, args.out)
     _write_resolved(args.out, {"synth": asdict(gen), "seed": args.seed})
@@ -99,11 +94,11 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     raw = load_run_config(args.config)
     bundle = load_dataset(args.data)
-    cfg = resolve_model_config(dict(raw.get("model", {})), bundle, args.ablate)
+    cfg = resolve_model_config(raw.get("model", {}), bundle, args.ablate)
     tsection = dict(raw.get("train", {}))
     if args.seed is not None:
         tsection["seed"] = args.seed
-    tcfg = TrainConfig.from_dict(tsection)
+    tcfg = config_from_dict(TrainConfig, tsection, "train")
 
     result = train(bundle, cfg, tcfg)
     os.makedirs(args.out, exist_ok=True)
@@ -135,8 +130,7 @@ def _load_for_inference(args):
         if key not in extra:
             raise LoadError(f"{args.checkpoint}: checkpoint has no '{key}' stat")
         value = extra[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if type(value) not in (int, float) or not math.isfinite(value):
             raise LoadError(f"{args.checkpoint}: checkpoint '{key}' must be a "
                             f"finite number, got {value!r}")
     try:
@@ -151,8 +145,7 @@ def _load_for_inference(args):
 def cmd_evaluate(args) -> int:
     params, bundle, stats = _load_for_inference(args)
     split = chronological_split(bundle.n_steps)
-    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else []
-    table = evaluate(params, bundle, split, args.split, horizons, stats)
+    table = evaluate(params, bundle, split, args.split, args.horizons, stats)
     rows = _metrics_rows(table)
     print("\n".join(rows))
     if args.out:
@@ -174,7 +167,7 @@ def cmd_predict(args) -> int:
 
 def cmd_flops(args) -> int:
     raw = load_run_config(args.config)
-    cfg = resolve_model_config(dict(raw.get("model", {})), None, args.ablate)
+    cfg = resolve_model_config(raw.get("model", {}), None, args.ablate)
     n_edges = args.edges
     if n_edges is None and args.data:
         n_edges = len(load_dataset(args.data).graph.edges)
@@ -188,63 +181,68 @@ def cmd_flops(args) -> int:
 def cmd_hi(args) -> int:
     bundle = load_dataset(args.data)
     split = chronological_split(bundle.n_steps)
-    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else []
     table = evaluate_historical_inertia(bundle, split, args.split, args.t_in,
-                                        args.t_out, horizons)
+                                        args.t_out, args.horizons)
     print("\n".join(_metrics_rows(table)))
     return 0
 
 
+def horizon_list(text: str) -> list[int]:
+    """``--horizons`` value: comma-separated 1-based steps, or none if empty."""
+    return [int(h) for h in text.split(",")] if text else []
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a misspelt option must not match another.
     parser = argparse.ArgumentParser(
-        prog="conformer",
+        prog="conformer", allow_abbrev=False,
         description="Incident-aware conditional spatiotemporal traffic forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--config", default=None, help="JSON run config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--incident-rate", type=float, default=None, dest="incident_rate")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
+    p = command("train", cmd_train, "train on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--ablate", action="append", default=[], choices=ABLATIONS)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
+    p = command("evaluate", cmd_evaluate, "evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--horizons", default="", help="comma-separated 1-based steps")
+    p.add_argument("--horizons", type=horizon_list, default=[],
+                   help="comma-separated 1-based steps")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="forecast one window from a checkpoint")
+    p = command("predict", cmd_predict, "forecast one window from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--at", type=int, required=True, help="input window start step")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("flops", help="print the FLOPs estimate and param count")
+    p = command("flops", cmd_flops, "print the FLOPs estimate and param count")
     p.add_argument("--config", default=None)
     p.add_argument("--edges", type=int, default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--ablate", action="append", default=[], choices=ABLATIONS)
-    p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("hi", help="historical-inertia reference metrics")
+    p = command("hi", cmd_hi, "historical-inertia reference metrics")
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--t-in", type=int, default=12, dest="t_in")
     p.add_argument("--t-out", type=int, default=12, dest="t_out")
-    p.add_argument("--horizons", default="")
-    p.set_defaults(func=cmd_hi)
+    p.add_argument("--horizons", type=horizon_list, default=[])
 
     return parser
 
@@ -253,7 +251,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConformerError, ValueError, TypeError) as exc:
+    except ConformerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

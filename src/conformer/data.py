@@ -49,6 +49,9 @@ class DatasetBundle:
         self.reg_vocab = tuple(self.reg_vocab)
         if self.values.ndim != 2:
             raise ValidationError(f"values must be [T, N], got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            t, n = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValidationError(f"values[{t}, {n}] = {self.values[t, n]} is not finite")
         if self.acc_ids.shape != self.values.shape or self.reg_ids.shape != self.values.shape:
             raise ValidationError("values, acc_ids and reg_ids must share one shape")
         if self.values.shape[1] != self.graph.n_nodes:
@@ -193,7 +196,7 @@ def make_windows(bundle: DatasetBundle, split_range: tuple[int, int], t_in: int,
     lo, hi = split_range
     if not (0 <= lo <= hi <= bundle.n_steps):
         raise ConfigError(f"split range {split_range} outside [0, {bundle.n_steps}]")
-    return np.arange(lo, hi - t_in - t_out + 1, dtype=np.int64)
+    return np.arange(lo, max(lo, hi - t_in - t_out + 1), dtype=np.int64)
 
 
 # -- on-disk format -----------------------------------------------------------
@@ -371,6 +374,8 @@ def load_dataset(data_dir) -> DatasetBundle:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _load_error(meta_path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # bytes that are not UTF-8, an over-long integer
+            raise LoadError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise LoadError(f"{meta_path}: expected a JSON object")
     required = {"interval_minutes", "start_weekday", "start_slot", "n_nodes",
@@ -574,6 +579,8 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     per hop over the footprint, recovering linearly. Regulations cap speeds
     at a fraction of the node's base curve over the same kind of footprint.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     graph_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n = gen.n_nodes
@@ -594,8 +601,11 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     reg_vocab = ("none", "lane-restriction")
 
     events = []
-    for kind, rate in (("acc", gen.incident_rate), ("reg", gen.regulation_rate)):
-        n_events = rng.poisson(rate * gen.days, size=n)
+    for kind, name in (("acc", "incident_rate"), ("reg", "regulation_rate")):
+        try:
+            n_events = rng.poisson(getattr(gen, name) * gen.days, size=n)
+        except ValueError as exc:  # numpy bounds the Poisson mean
+            raise ConfigError(f"synth {name} too large for {gen.days} days: {exc}") from exc
         for node in range(n):
             for _ in range(n_events[node]):
                 t0 = int(rng.integers(0, max(1, t_total - gen.duration_steps)))

@@ -95,12 +95,28 @@ class ConFormerConfig:
         d["ablations"] = list(self.ablations)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConFormerConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+
+# Field annotation -> (the types it takes, by type() so JSON true is no int; name).
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "tuple[str, ...]": ((list,), "a list of strings")}
+
+
+def config_from_dict(cls, d: dict, section: str):
+    """``cls(**d)`` for JSON config section ``section``. A key that is not a field
+    of dataclass ``cls``, or a value whose type does not fit its annotation, is a
+    ``ConfigError``. Values pass on as given: ``"dropout": 0`` stays ``0``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} config must be a JSON object, got {d!r}")
+    fields = cls.__dataclass_fields__
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        types, what = _JSON_TYPES[fields[key].type]
+        if type(value) not in types or (type(value) is list
+                                        and not all(type(s) is str for s in value)):
+            raise ConfigError(f"{section} config {key} must be {what}, got {value!r}")
+    return cls(**d)
 
 
 class ConFormerParams:
@@ -332,7 +348,7 @@ def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
     (header_len,) = struct.unpack("<Q", size)
     try:
         header = json.loads(buf.read(header_len).decode("utf-8"))
-        cfg = ConFormerConfig.from_dict(header["config"])
+        cfg = config_from_dict(ConFormerConfig, header["config"], "model")
         listed = header["params"]
         extra = header.get("extra", {})
         if not isinstance(extra, dict):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -36,20 +37,14 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0 <= self.clip_norm < math.inf:
-            raise ConfigError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
-        if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("patience, max_epochs and batch_size must be >= 1")
+        # AdamState.step compares against clip_norm ** 2, which must not overflow.
+        if not 0 <= self.clip_norm <= math.sqrt(sys.float_info.max):
+            raise ConfigError(f"clip_norm must be >= 0 with a finite square, got {self.clip_norm}")
+        if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1 or self.seed < 0:
+            raise ConfigError("patience, max_epochs and batch_size must be >= 1, seed >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

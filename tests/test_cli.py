@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -280,3 +281,80 @@ class TestEvaluatePredictFlops:
         data = synth_dir(tmp_path, tiny_config)
         assert main(["hi", "--data", data] + argv) == 1
         assert message in capsys.readouterr().err
+
+
+TRAIN = ["train", "--data", "{data}", "--config", "{config}", "--out", "{out}"]
+SYNTH = ["synth", "--config", "{config}", "--out", "{out}"]
+
+# id -> (run-config changes, argv, exit code, stderr pattern). Exit 2 is
+# argparse's usage error.
+BOUNDARY_PROBES = {
+    "model-null": ({"model": None}, TRAIN, 1, "model section must be a JSON object, got None"),
+    "train-list": ({"train": [1]}, TRAIN, 1, r"train section must be a JSON object, got \[1\]"),
+    "t_in-float": ({"model": {"t_in": 4.0}}, TRAIN, 1,
+                   "model config t_in must be an integer, got 4.0"),
+    "d_model-string": ({"model": {"d_model": "32"}}, TRAIN, 1,
+                       "model config d_model must be an integer, got '32'"),
+    "ablations-string": ({"model": {"ablations": "no-alpha"}}, TRAIN, 1,
+                         "model config ablations must be a list of strings, got 'no-alpha'"),
+    "ablations-int-and-ablate": ({"model": {"ablations": 5}}, TRAIN + ["--ablate", "no-beta"],
+                                 1, "model config ablations must be a list of strings, got 5"),
+    "max_epochs-true": ({"train": {"max_epochs": True}}, TRAIN, 1,
+                        "train config max_epochs must be an integer, got True"),
+    "seed-float": ({"train": {"seed": 1.5}}, TRAIN, 1,
+                   "train config seed must be an integer, got 1.5"),
+    "clip_norm-1e200": ({"train": {"clip_norm": 1e200}}, TRAIN, 1,
+                        r"clip_norm must be >= 0 with a finite square, got 1e\+200"),
+    "train-seed-negative": ({}, TRAIN + ["--seed", "-1"], 1, "seed >= 0"),
+    "days-true": ({"synth": {"days": True}}, SYNTH, 1,
+                  "synth config days must be an integer, got True"),
+    "incident_rate-1e20": ({"synth": {"incident_rate": 1e20}}, SYNTH, 1,
+                           "synth incident_rate too large for 2 days: lam value too large"),
+    "noise_scale-1e308": ({"synth": {"days": 1, "noise_scale": 1e308}}, SYNTH, 1,
+                          r"values\[\d+, \d+\] = inf is not finite"),
+    "synth-seed-negative": ({}, SYNTH + ["--seed", "-1"], 1, "seed must be >= 0, got -1"),
+    "hi-t-in-huge": ({}, ["hi", "--data", "{data}", "--t-in", "99999999999999999999"], 1,
+                     "split 'test' too short for T=99999999999999999999, T'=12"),
+    "checkpoint-d_model-float": (
+        {}, ["evaluate", "--checkpoint", "{checkpoint}", "--data", "{data}"], 1,
+        "bad.cfmr: corrupt checkpoint header: .*model config d_model must be an "
+        "integer, got 8.0"),
+    "evaluate-horizons-text": (
+        {}, ["evaluate", "--checkpoint", "{checkpoint}", "--data", "{data}",
+             "--horizons", "1,x"], 2,
+        "argument --horizons: invalid horizon_list value: '1,x'"),
+    "hi-horizons-text": ({}, ["hi", "--data", "{data}", "--horizons", "1,x"], 2,
+                         "argument --horizons: invalid horizon_list value: '1,x'"),
+    "hi-horizon-abbreviated": ({}, ["hi", "--data", "{data}", "--horizon", "1"], 2,
+                               "unrecognized arguments: --horizon 1"),
+    "synth-config-abbreviated": ({}, ["synth", "--conf", "{config}", "--out", "{out}"], 2,
+                                 "unrecognized arguments: --conf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_PROBES))
+def test_bad_input_is_a_typed_error(tmp_path, tiny_config, capsys, name):
+    """Each bad config value or option exits 1 with a message naming what to
+    fix, or 2 with argparse's usage error; none raises, none writes output."""
+    changes, argv, code, message = BOUNDARY_PROBES[name]
+    with open(tiny_config) as fh:
+        cfg = json.load(fh)
+    for section, value in changes.items():
+        cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps(cfg))
+    blob = json.dumps({"config": {"d_model": 8.0}, "params": []}).encode()
+    checkpoint = tmp_path / "bad.cfmr"
+    checkpoint.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+    fill = {"config": str(config), "out": str(tmp_path / "out"),
+            "checkpoint": str(checkpoint)}
+    if "{data}" in argv:
+        fill["data"] = synth_dir(tmp_path, tiny_config)
+        capsys.readouterr()
+    try:
+        got = main([arg.format(**fill) for arg in argv])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code and re.search(message, err), err
+    assert not (tmp_path / "out").exists()

@@ -69,6 +69,15 @@ class TestRoundTrip:
                           graph=b.graph, interval_minutes=60, start_weekday=weekday,
                           start_slot=slot)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # The rule load_dataset applies to values.csv holds in memory too.
+        b = tiny_bundle()
+        b.values[7, 1] = bad
+        with pytest.raises(ValidationError, match=rf"values\[7, 1\] = {bad} is not finite"):
+            DatasetBundle(values=b.values, acc_ids=b.acc_ids, reg_ids=b.reg_ids,
+                          graph=b.graph, interval_minutes=60)
+
     @pytest.mark.parametrize("key, value", [
         ("n_nodes", "abc"), ("n_nodes", 0), ("n_steps", [1]), ("n_steps", -5),
         ("interval_minutes", 60.0), ("start_weekday", 9), ("start_weekday", True),
@@ -88,6 +97,16 @@ class TestRoundTrip:
         save_dataset(tiny_bundle(), tmp_path)
         (tmp_path / "meta.json").write_text("5")
         with pytest.raises(LoadError, match="meta.json: expected a JSON object"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"n_nodes": 2}\xff', "can't decode byte 0xff"),
+        (b'{"n_nodes": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+    ], ids=["not-utf8", "5000-digit-int"])
+    def test_meta_unparsable_rejected(self, tmp_path, text, message):
+        save_dataset(tiny_bundle(), tmp_path)
+        (tmp_path / "meta.json").write_bytes(text)
+        with pytest.raises(LoadError, match=f"meta.json: .*{message}"):
             load_dataset(tmp_path)
 
     def test_missing_file_rejected(self, tmp_path):

@@ -4,14 +4,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformer import numerics as nm
+from conformer.data import SynthConfig
 from conformer.embeddings import embed_all
 from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
-from conformer.model import (ABLATIONS, ConFormerConfig, count_params, estimate_flops,
-                             forward, init_params, load_checkpoint, param_spec,
+from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, count_params,
+                             estimate_flops, forward, init_params, load_checkpoint, param_spec,
                              readout, save_checkpoint)
+from conformer.trainer import TrainConfig
 
 
 def tiny_cfg(**kw):
@@ -50,11 +53,37 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            ConFormerConfig.from_dict({"bogus": 1})
+            config_from_dict(ConFormerConfig, {"bogus": 1}, "model")
 
     def test_round_trip(self):
         cfg = tiny_cfg(ablations=("no-beta",))
-        assert ConFormerConfig.from_dict(cfg.to_dict()) == cfg
+        assert config_from_dict(ConFormerConfig, cfg.to_dict(), "model") == cfg
+
+
+# Any JSON value: huge ints, non-finite floats, bools, strings, lists, null,
+# and values a field may take, so that some drawn dicts build a config.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**30, 10**30),
+    st.floats(), st.floats(0, 1), st.text(max_size=6),
+    st.sampled_from(["ring", "grid", "random-geometric"]),
+    st.lists(st.sampled_from(ABLATIONS + ("bogus",)), max_size=3),
+    st.lists(st.one_of(st.integers(), st.floats(), st.none()), max_size=3))
+
+
+@pytest.mark.parametrize("cls", [ConFormerConfig, TrainConfig, SynthConfig])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_from_dict_builds_or_raises_config_error(cls, data):
+    """Only builds configs: a drawn days or n_layers of 10^9 would never finish
+    a run."""
+    keys = st.sampled_from(sorted(cls.__dataclass_fields__) + ["bogus", "Seed"])
+    section = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=6))
+    try:
+        cfg = config_from_dict(cls, section, "drawn")
+    except ConfigError:
+        return
+    assert all(getattr(cfg, key) is value for key, value in section.items()
+               if key != "ablations")  # each value as given; ablations are sorted
 
 
 class TestForward:

@@ -13,6 +13,7 @@ import pytest
 
 from conformer.cli import build_parser, resolve_model_config
 from conformer.data import SynthConfig
+from conformer.model import config_from_dict
 from conformer.trainer import TrainConfig
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -46,5 +47,5 @@ def test_example_run_config_is_valid():
     raw = json.loads(fenced_block("Example `run.json`:", "json"))
     assert set(raw) == {"synth", "model", "train"}
     resolve_model_config(raw["model"], None, [])
-    TrainConfig.from_dict(raw["train"])
+    config_from_dict(TrainConfig, raw["train"], "train")
     SynthConfig(**raw["synth"])

@@ -9,7 +9,8 @@ from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
                             chronological_split, make_windows, synth_generate)
 from conformer.errors import ConfigError, ValidationError
 from conformer.graph import GraphSpec, normalize_adjacency
-from conformer.model import ABLATIONS, ConFormerConfig, forward, init_params
+from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, forward,
+                             init_params)
 from conformer.trainer import (TrainConfig, evaluate,
                                evaluate_forecasts, evaluate_historical_inertia,
                                historical_inertia, masked_mae_loss,
@@ -125,6 +126,7 @@ class TestTrainConfig:
         ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("inf")),
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", float("nan")),
         ("clip_norm", -1.0), ("clip_norm", float("inf")), ("clip_norm", float("nan")),
+        ("clip_norm", 1e200), ("seed", -1),
     ])
     def test_value_that_breaks_a_run_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -139,7 +141,7 @@ class TestTrainConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({"momentum": 0.9})
+            config_from_dict(TrainConfig, {"momentum": 0.9}, "train")
 
 
 class TestMaskedLoss:
