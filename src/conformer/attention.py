@@ -15,19 +15,10 @@ def conditional_qkv(x_gln: nm.Tensor, x_c: nm.Tensor, params,
 
     Reads ``{prefix}.wq/bq/wk/bk/wv/bv``; conditioning enters only K and V.
     """
-    x_gln, x_c = nm.as_tensor(x_gln), nm.as_tensor(x_c)
-    wq, wk, wv = (params[f"{prefix}.w{n}"] for n in "qkv")
-    if x_gln.shape[-1] != wq.shape[0]:
-        raise DimensionError(
-            f"input width {x_gln.shape[-1]} does not match W_Q rows {wq.shape[0]}")
     augmented = nm.concat_last_axis([x_gln, x_c])
-    if augmented.shape[-1] != wk.shape[0]:
-        raise DimensionError(
-            f"augmented width {augmented.shape[-1]} does not match W_K rows "
-            f"{wk.shape[0]}")
-    q = nm.affine(x_gln, wq, params[f"{prefix}.bq"])
-    k = nm.affine(augmented, wk, params[f"{prefix}.bk"])
-    v = nm.affine(augmented, wv, params[f"{prefix}.bv"])
+    q = nm.affine(x_gln, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = nm.affine(augmented, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    v = nm.affine(augmented, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     return q, k, v
 
 
@@ -48,6 +39,8 @@ def _merge_heads(x: nm.Tensor) -> nm.Tensor:
 
 def _attend(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor, n_heads: int) -> nm.Tensor:
     """Scaled dot-product attention over the second-to-last axis, per head."""
+    if q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     d_head = qh.shape[-1]
     scores = nm.matmul(qh, nm.transpose(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2)))
@@ -62,8 +55,6 @@ def spatial_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
     Inputs are ``[..., T, N, D]``; output has the same shape.
     """
     q, k, v = nm.as_tensor(q), nm.as_tensor(k), nm.as_tensor(v)
-    if q.shape != k.shape or q.shape != v.shape:
-        raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     return _attend(q, k, v, n_heads)
 
 
@@ -76,8 +67,6 @@ def temporal_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
     second-to-last, attended, and transposed back.
     """
     q, k, v = nm.as_tensor(q), nm.as_tensor(k), nm.as_tensor(v)
-    if q.shape != k.shape or q.shape != v.shape:
-        raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     if q.ndim < 3:
         raise DimensionError(f"temporal_attention expects [..., T, N, D], got {q.shape}")
     swap = lambda t: nm.moveaxis(t, -3, -2)
@@ -92,9 +81,4 @@ def fuse(x_sp: nm.Tensor, x_te: nm.Tensor, params, prefix: str) -> nm.Tensor:
     if x_sp.shape != x_te.shape:
         raise DimensionError(f"branch shapes differ: {x_sp.shape} vs {x_te.shape}")
     both = nm.concat_last_axis([x_sp, x_te])
-    fuse_w = params[f"{prefix}.w"]
-    if both.shape[-1] != fuse_w.shape[0]:
-        raise DimensionError(
-            f"fused width {both.shape[-1]} does not match fuse weights "
-            f"{fuse_w.shape[0]}")
-    return nm.affine(both, fuse_w, params[f"{prefix}.b"])
+    return nm.affine(both, params[f"{prefix}.w"], params[f"{prefix}.b"])

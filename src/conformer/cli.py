@@ -31,12 +31,12 @@ def load_run_config(path) -> dict:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # also bytes that are not UTF-8
-            raise ConformerError(f"{path}: invalid JSON: {exc}") from exc
+            raise LoadError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConformerError(f"{path}: config must be a JSON object")
+        raise ConfigError(f"{path}: config must be a JSON object")
     for name, section in raw.items():
         if name not in SECTIONS:
-            raise ConformerError(f"{path}: unknown config section {name!r}")
+            raise ConfigError(f"{path}: unknown config section {name!r}")
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: {name} section must be a JSON object, got {section!r}")
     return raw
@@ -172,7 +172,7 @@ def cmd_flops(args) -> int:
     if n_edges is None and args.data:
         n_edges = len(load_dataset(args.data).graph.edges)
     if n_edges is None:
-        raise ConformerError("flops needs --edges N or --data DIR for the edge count")
+        raise ConfigError("flops needs --edges N or --data DIR for the edge count")
     flops = estimate_flops(cfg, n_edges)
     print(f"flops={flops} params={count_params(cfg)}")
     return 0

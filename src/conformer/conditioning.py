@@ -32,13 +32,9 @@ def generate_factors(x_c: nm.Tensor, params, prefix: str) -> ConditionFactors:
     ``2*D + 1`` columns and starts at zero, and gamma carries a +1 offset, so
     a fresh generator gives gamma=1, beta=0, alpha=0 and GLN is plain layer norm.
     """
-    x_c = nm.as_tensor(x_c)
-    hidden_w, out_w = params[f"{prefix}.hidden.w"], params[f"{prefix}.out.w"]
-    if x_c.shape[-1] != hidden_w.shape[0]:
-        raise DimensionError(
-            f"condition width {x_c.shape[-1]} does not match generator input "
-            f"width {hidden_w.shape[0]}")
-    hidden = nm.gelu(nm.affine(x_c, hidden_w, params[f"{prefix}.hidden.b"]))
+    hidden = nm.gelu(nm.affine(x_c, params[f"{prefix}.hidden.w"],
+                               params[f"{prefix}.hidden.b"]))
+    out_w = params[f"{prefix}.out.w"]
     raw = nm.affine(hidden, out_w, params[f"{prefix}.out.b"])
     d = (out_w.shape[-1] - 1) // 2
     gamma = nm.slice_last_axis(raw, 0, d) + 1.0

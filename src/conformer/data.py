@@ -166,16 +166,17 @@ def window_block(array: np.ndarray, starts, offset: int, length: int) -> np.ndar
     start, ``[W, length, ...]``: inputs are offset 0, targets offset T.
 
     A block that leaves ``array`` raises ``ValidationError``; numpy would wrap
-    a negative step round to the end of the series.
+    a negative step round to the end of the series. The starts are checked
+    before their ``int64`` cast, which a start beyond ``int64`` overflows.
     """
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.asarray(starts)
     lo, hi = -offset, len(array) - offset - length
     bad = starts[(starts < lo) | (starts > hi)]
     if bad.size:
         raise ValidationError(
             f"window start {bad[0]} leaves the {len(array)} steps of the data "
             f"(offset {offset}, length {length}): starts must lie in [{lo}, {hi}]")
-    return array[starts[:, None] + offset + np.arange(length)]
+    return array[starts[:, None].astype(np.int64) + offset + np.arange(length)]
 
 
 def windows_with_incidents(bundle: DatasetBundle, windows, t_in: int) -> np.ndarray:

@@ -29,16 +29,9 @@ class CalendarIndexer:
                 f"start_slot must be in 0..{self.steps_per_day - 1}, got {self.start_slot}")
 
 
-def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:
-    """(dow, tod) for absolute step ``t``; dow advances by one per day wrap."""
-    total = cal.start_slot + t
-    tod = total % cal.steps_per_day
-    dow = (cal.start_weekday + total // cal.steps_per_day) % 7
-    return dow, tod
-
-
 def time_indices(t0, horizon: int, cal: CalendarIndexer) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``index_time`` for steps ``t0 .. t0+horizon-1``.
+    """(day-of-week, time-of-day) indices of steps ``t0 .. t0+horizon-1``; the
+    day of week advances by one at each wrap of the time of day.
 
     ``t0`` is one start step or an array of them; both results have shape
     ``np.shape(t0) + (horizon,)``.
@@ -70,20 +63,15 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
     incident" in the acc/reg tables.
     """
     x = nm.as_tensor(x)
-    t_len, n_nodes = x.shape[-3], x.shape[-2]
+    t_len = x.shape[-3]
     lead = x.shape[:-1]
 
     acc_table, reg_table = params["embed.acc_table"], params["embed.reg_table"]
-    adaptive = params["embed.adaptive"]
     acc_ids = _validate_ids(acc_ids, acc_table.shape[0], "accident")
     reg_ids = _validate_ids(reg_ids, reg_table.shape[0], "regulation")
     if acc_ids.shape != lead or reg_ids.shape != lead:
         raise ValidationError(
             f"id arrays must have shape {lead}, got {acc_ids.shape} / {reg_ids.shape}")
-    if adaptive.shape[0] != t_len or adaptive.shape[1] != n_nodes:
-        raise ValidationError(
-            f"adaptive embedding {adaptive.shape[:2]} does not match "
-            f"window shape ({t_len}, {n_nodes})")
 
     if np.shape(t0) != x.shape[:-3]:
         raise ValidationError(f"t0 must hold one start per window, shape "
@@ -97,6 +85,7 @@ def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
     x_reg = nm.gather_rows(reg_table, reg_ids)
     x_dow = nm.gather_rows(params["embed.dow_table"], dow)
     x_tod = nm.gather_rows(params["embed.tod_table"], tod)
+    adaptive = params["embed.adaptive"]
     if x.ndim == 4:
         adaptive = nm.broadcast_to(adaptive, (x.shape[0],) + adaptive.shape)
 

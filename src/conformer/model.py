@@ -159,7 +159,7 @@ def param_spec(cfg: ConFormerConfig) -> list[tuple[str, tuple[int, ...], float |
     spec: list[tuple[str, tuple[int, ...], float | str]] = []
 
     def affine(w: str, b: str, n_in: int, n_out: int) -> None:
-        bound = 1.0 / np.sqrt(n_in)
+        bound = 1.0 / math.sqrt(n_in)  # np.sqrt takes no int beyond int64
         spec.extend([(w, (n_in, n_out), bound), (b, (n_out,), bound)])
 
     affine("embed.data_proj.w", "embed.data_proj.b", cfg.d_in, cfg.d_data)
@@ -198,10 +198,14 @@ _FILLS = {"zeros": np.zeros, "ones": np.ones}
 def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
     """Fresh parameters; generator output heads start at exactly zero."""
     rng = np.random.default_rng(seed)
-    arrays = OrderedDict(
-        (name, nm.Tensor(_FILLS[init](shape) if init in _FILLS
-                         else rng.uniform(-init, init, shape)))
-        for name, shape, init in param_spec(cfg))
+    arrays: "OrderedDict[str, nm.Tensor]" = OrderedDict()
+    for name, shape, init in param_spec(cfg):
+        try:
+            values = _FILLS[init](shape) if init in _FILLS else rng.uniform(-init, init, shape)
+        except (ValueError, MemoryError) as exc:  # numpy refuses the size
+            raise ConfigError(f"parameter '{name}' of shape {shape} cannot be "
+                              f"allocated: {exc}") from exc
+        arrays[name] = nm.Tensor(values)
     return ConFormerParams(cfg, arrays)
 
 
@@ -360,11 +364,11 @@ def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
         raise LoadError(f"{path}: parameter enumeration does not match config")
     arrays: "OrderedDict[str, nm.Tensor]" = OrderedDict()
     for name, shape, _ in spec:
-        n = math.prod(shape)
-        raw = buf.read(8 * n)
-        if len(raw) != 8 * n:
+        # Checked before reading: ``read`` overflows on a size beyond int64.
+        n_bytes = 8 * math.prod(shape)
+        if n_bytes > len(data) - buf.tell():
             raise LoadError(f"{path}: truncated data for parameter '{name}'")
-        arrays[name] = nm.Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape))
+        arrays[name] = nm.Tensor(np.frombuffer(buf.read(n_bytes), dtype="<f8").reshape(shape))
     if buf.read(1):
         raise LoadError(f"{path}: trailing bytes after parameter data")
     return ConFormerParams(cfg, arrays), extra

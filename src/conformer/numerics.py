@@ -229,13 +229,13 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
+def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
+        raise DimensionError(f"{op} needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+        raise DimensionError(f"{op}: inner dims differ, {a.shape} vs {b.shape}")
     if not _broadcastable(a.shape[:-2], b.shape[:-2]):
-        raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
+        raise DimensionError(f"{op}: batch dims differ, {a.shape} vs {b.shape}")
 
 
 def _matmul_vjp(grad: Array, a: Tensor, b: Tensor, const_a: bool,
@@ -262,7 +262,7 @@ def matmul(a, b) -> Tensor:
     """
     const_a, const_b = not isinstance(a, Tensor), not isinstance(b, Tensor)
     a, b = as_tensor(a), as_tensor(b)
-    _check_matmul(a, b)
+    _check_matmul(a, b, "matmul")
     out_data = a.data @ b.data
 
     def vjp(grad: Array):
@@ -280,7 +280,7 @@ def affine(x, w, b) -> Tensor:
     """
     const_x, const_w, const_b = (not isinstance(t, Tensor) for t in (x, w, b))
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _check_matmul(x, w)
+    _check_matmul(x, w, "affine")
     out_data = x.data @ w.data
     if b.ndim > out_data.ndim or any(n not in (1, m) for n, m in
                                      zip(b.shape[::-1], out_data.shape[::-1])):
@@ -578,28 +578,6 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
                 f"backward: gradient shape {record[name].shape} != param "
                 f"shape {p.shape} for '{name}'")
     return record
-
-
-def finite_difference_gradient(fn: Callable[[Array], float], x0: Array,
-                               step: float = 1e-5,
-                               indices: Iterable[tuple] | None = None) -> Array:
-    """Central finite differences of a scalar function, the gradient oracle.
-
-    ``fn`` maps an array of ``x0``'s shape to a float. When ``indices`` is
-    given, only those entries are probed (others stay zero).
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    grad = np.zeros_like(x0)
-    if indices is None:
-        indices = np.ndindex(*x0.shape)
-    for idx in indices:
-        bumped = x0.copy()
-        bumped[idx] = x0[idx] + step
-        hi = fn(bumped)
-        bumped[idx] = x0[idx] - step
-        lo = fn(bumped)
-        grad[idx] = (hi - lo) / (2.0 * step)
-    return grad
 
 
 def relative_error(a: Array, b: Array) -> float:

@@ -13,7 +13,7 @@ from . import numerics as nm
 from .data import (DatasetBundle, MaskedMetrics, NormalizationStats, SplitSpec,
                    chronological_split, fit_normalization, make_windows,
                    masked_metrics, window_block)
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .graph import normalize_adjacency
 from .model import ConFormerConfig, ConFormerParams, forward, init_params
 
@@ -143,7 +143,7 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     cfg = params.cfg
     op = normalize_adjacency(bundle.graph)
     n_workers = _thread_count()
-    t0s = np.asarray(windows, dtype=np.int64)
+    t0s = np.asarray(windows)  # window_block checks each batch before its int64 cast
     batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
 
     def run(starts: np.ndarray) -> np.ndarray:
@@ -195,12 +195,12 @@ def _split_windows(bundle: DatasetBundle, split: SplitSpec, split_name: str,
 
 
 def evaluate(params: ConFormerParams, bundle: DatasetBundle, split: SplitSpec,
-             split_name: str, horizons: list[int], stats: NormalizationStats,
-             batch_size: int = 64) -> dict[str, MaskedMetrics]:
+             split_name: str, horizons: list[int],
+             stats: NormalizationStats) -> dict[str, MaskedMetrics]:
     """Metrics table for the trained model on one split, original units."""
     cfg = params.cfg
     windows, y_true = _split_windows(bundle, split, split_name, cfg.t_in, cfg.t_out)
-    preds = predict_windows(params, bundle, windows, stats, batch_size)
+    preds = predict_windows(params, bundle, windows, stats)
     return evaluate_forecasts(y_true, preds, horizons)
 
 
@@ -258,9 +258,6 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
             if loss is None:
                 continue
             loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}, batch {start // tcfg.batch_size}")
             grads = nm.backward(loss, dict(params.entries()))
             adam.step(params, grads, tcfg)
             epoch_losses.append(loss_val)

@@ -79,11 +79,15 @@ class TestConditionalQkv:
         assert np.allclose(v.data, [[[2.0, 4.0]]])
 
     def test_width_mismatch(self):
+        # The projection that meets the mismatch names both of its operands:
+        # W_Q, then a condition width that breaks only W_K.
         rng = np.random.default_rng(3)
         proj = make_projections(rng, 4, 8)
-        with pytest.raises(DimensionError):
-            conditional_qkv(nm.Tensor(rng.normal(size=(2, 3, 5))),
-                            nm.Tensor(rng.normal(size=(2, 3, 8))), proj, "a")
+        for x_width, cond_width, operands in ((5, 8, r"\(2, 3, 5\) vs \(4, 4\)"),
+                                              (4, 7, r"\(2, 3, 11\) vs \(12, 4\)")):
+            with pytest.raises(DimensionError, match="affine: inner dims differ, " + operands):
+                conditional_qkv(nm.Tensor(rng.normal(size=(2, 3, x_width))),
+                                nm.Tensor(rng.normal(size=(2, 3, cond_width))), proj, "a")
 
 
 class TestSpatialAttention:
@@ -153,6 +157,17 @@ def _attend_composite(q, k, v, n_heads):
 def _temporal_composite(q, k, v, n_heads):
     swap = lambda t: nm.moveaxis(t, -3, -2)
     return swap(_attend_composite(swap(q), swap(k), swap(v), n_heads))
+
+
+@pytest.mark.parametrize("attend, seen", [
+    (spatial_attention, r"\(3, 2, 4\), \(3, 2, 4\), \(3, 5, 4\)"),
+    # temporal attention checks after moving time second-to-last
+    (temporal_attention, r"\(2, 3, 4\), \(2, 3, 4\), \(5, 3, 4\)"),
+], ids=["spatial", "temporal"])
+def test_qkv_shape_mismatch(attend, seen):
+    q, k, v = (nm.Tensor(np.zeros(shape)) for shape in ((3, 2, 4), (3, 2, 4), (3, 5, 4)))
+    with pytest.raises(DimensionError, match="q/k/v shapes differ: " + seen):
+        attend(q, k, v, n_heads=2)
 
 
 class TestScaledSoftmaxAttention:
@@ -245,6 +260,13 @@ class TestFuse:
         assert out.data.ravel().tolist() == [1 + 4 + 9 + 16 + 10]
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        # Widths 4 and 5 would pass a 9-row weight; the branches must match.
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\) vs \(2, 3, 5\)"):
             fuse(nm.Tensor(np.zeros((2, 3, 4))), nm.Tensor(np.zeros((2, 3, 5))),
-                 fuse_params(np.zeros((8, 4)), np.zeros(4)), "f")
+                 fuse_params(np.zeros((9, 4)), np.zeros(4)), "f")
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionError,
+                           match=r"affine: inner dims differ, \(2, 3, 8\) vs \(6, 4\)"):
+            fuse(nm.Tensor(np.zeros((2, 3, 4))), nm.Tensor(np.zeros((2, 3, 4))),
+                 fuse_params(np.zeros((6, 4)), np.zeros(4)), "f")

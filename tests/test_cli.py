@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from conformer.cli import main
+from conformer.cli import build_parser, main
 from conformer.data import chronological_split, load_dataset, save_dataset
-from conformer.model import load_checkpoint, save_checkpoint
+from conformer.errors import ConfigError, ConformerError, LoadError
+from conformer.model import ConFormerConfig, count_params, load_checkpoint, save_checkpoint
 
 
 def read(path):
@@ -201,7 +202,9 @@ class TestEvaluatePredictFlops:
     def test_predict_out_of_range(self, tmp_path, trained, capsys):
         data, ckpt = trained
         n_steps = 2 * 24  # the synth fixture: 2 days at 60 minutes
-        for at in ("99999", "-1"):
+        # 2^63 reads as uint64 and 10^20 as an object array, so the starts
+        # are range-checked before their int64 cast.
+        for at in ("99999", "-1", "99999999999999999999", "9223372036854775808"):
             assert main(["predict", "--checkpoint", ckpt, "--data", data,
                          "--at", at, "--out", str(tmp_path / "p")]) == 1
             err = capsys.readouterr().err
@@ -264,6 +267,14 @@ class TestEvaluatePredictFlops:
         assert "flops=296" in out
         assert "params=3332" in out
 
+    def test_flops_width_beyond_int64(self, tmp_path, capsys):
+        # Counting needs no array, so a width numpy cannot hold still counts.
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"model": {"d_data": 10 ** 20}}))
+        assert main(["flops", "--config", str(path), "--edges", "10"]) == 0
+        params = count_params(ConFormerConfig(d_data=10 ** 20))
+        assert f"params={params}" in capsys.readouterr().out
+
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1
 
@@ -315,6 +326,13 @@ BOUNDARY_PROBES = {
     "synth-seed-negative": ({}, SYNTH + ["--seed", "-1"], 1, "seed must be >= 0, got -1"),
     "hi-t-in-huge": ({}, ["hi", "--data", "{data}", "--t-in", "99999999999999999999"], 1,
                      "split 'test' too short for T=99999999999999999999, T'=12"),
+    # Widths numpy cannot allocate: no test may use one that it can.
+    "d_data-1e20": ({"model": {"d_data": 10 ** 20}}, TRAIN, 1,
+                    r"parameter 'embed.data_proj.w' of shape \(1, 100000000000000000000\) "
+                    "cannot be allocated: Maximum allowed dimension exceeded"),
+    "d_data-2^62": ({"model": {"d_data": 2 ** 62}}, TRAIN, 1,
+                    r"parameter 'embed.data_proj.w' of shape \(1, 4611686018427387904\) "
+                    "cannot be allocated: array is too big"),
     "checkpoint-d_model-float": (
         {}, ["evaluate", "--checkpoint", "{checkpoint}", "--data", "{data}"], 1,
         "bad.cfmr: corrupt checkpoint header: .*model config d_model must be an "
@@ -358,3 +376,21 @@ def test_bad_input_is_a_typed_error(tmp_path, tiny_config, capsys, name):
     err = capsys.readouterr().err
     assert got == code and re.search(message, err), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config_text, argv, error", [
+    ("{", ["flops", "--edges", "1"], LoadError),
+    ("[1]", ["flops", "--edges", "1"], ConfigError),
+    ('{"modle": {}}', ["flops", "--edges", "1"], ConfigError),
+    (None, ["flops"], ConfigError),
+], ids=["invalid-json", "not-an-object", "unknown-section", "flops-no-edge-count"])
+def test_cli_failure_types(tmp_path, config_text, argv, error):
+    """Each CLI failure raises a ``ConformerError`` subclass, never the base."""
+    if config_text is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config_text)
+        argv = argv + ["--config", str(path)]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConformerError) as info:
+        args.func(args)
+    assert type(info.value) is error

@@ -98,7 +98,8 @@ class TestGenerateFactors:
     def test_width_mismatch(self):
         rng = np.random.default_rng(4)
         gen = make_generator(rng, in_width=6, d_model=4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError,
+                           match=r"affine: inner dims differ, \(2, 3, 5\) vs \(6, 4\)"):
             generate_factors(nm.Tensor(rng.normal(size=(2, 3, 5))), gen, "g")
 
 

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conformer import numerics as nm
-from conformer.embeddings import CalendarIndexer, embed_all, index_time, time_indices
-from conformer.errors import ValidationError
+from conformer.embeddings import CalendarIndexer, embed_all, time_indices
+from conformer.errors import DimensionError, ValidationError
 from conformer.model import ConFormerConfig, init_params
+from oracles import finite_difference_gradient, index_time
 
 
 def tiny_cfg(**kw):
@@ -105,6 +108,14 @@ class TestEmbedAll:
         with pytest.raises(ValidationError, match=r"99.*t=2.*n=1"):
             embed_all(nm.Tensor(self.x), bad, self.reg, 0, self.params, self.cal)
 
+    @pytest.mark.parametrize("shape", [(4, 2, 4), (5, 3, 4)])
+    def test_adaptive_table_must_fit_window(self, shape):
+        params = dict(self.params.entries())
+        params["embed.adaptive"] = nm.Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError,
+                           match=r"leading shapes differ, \(4, 3, 4\) vs " + re.escape(str(shape))):
+            embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, params, self.cal)
+
     def test_concat_order_pinned(self):
         """Each block is tagged with a distinct constant; the fused output
         under a summing MLP recovers the documented block order."""
@@ -164,7 +175,7 @@ class TestEmbedAll:
         out = embed_all(nm.Tensor(self.x), self.acc, self.reg, 0, self.params, self.cal)
         analytic = nm.backward(nm.tsum(out * weights),
                                dict(self.params.entries()))["embed.dow_table"]
-        fd = nm.finite_difference_gradient(loss_for, base)
+        fd = finite_difference_gradient(loss_for, base)
         self.params.replace({"embed.dow_table": base})
         assert nm.relative_error(analytic, fd) <= 1e-4
 

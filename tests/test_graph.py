@@ -4,6 +4,7 @@ import pytest
 from conformer import numerics as nm
 from conformer.errors import ContractError, DimensionError, ValidationError
 from conformer.graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
+from oracles import finite_difference_gradient
 
 
 def random_graph(rng, n, p=0.4):
@@ -166,7 +167,7 @@ class TestPropagate:
         weights = nm.Tensor(rng.normal(size=(2, 3, 6)))
         loss = nm.tsum(propagate(x, op, 2) * weights)
         analytic = nm.backward(loss, {"x": x})["x"]
-        fd = nm.finite_difference_gradient(
+        fd = finite_difference_gradient(
             lambda arr: nm.tsum(propagate(nm.Tensor(arr), op, 2) * weights).item(),
             x.data)
         assert nm.relative_error(analytic, fd) <= 1e-4

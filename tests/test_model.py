@@ -338,6 +338,20 @@ class TestCheckpoint:
             with pytest.raises(LoadError, match=f"{path.name}.*corrupt"):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("d_data", [10 ** 20, 2 ** 62])
+    def test_huge_listed_parameter_is_truncated(self, tmp_path, d_data):
+        # The header matches its config, but no file holds the listed bytes;
+        # the size is compared before any read of it.
+        cfg = tiny_cfg(d_data=d_data)
+        header = {"config": cfg.to_dict(), "extra": {},
+                  "params": [[name, list(shape)] for name, shape, _ in param_spec(cfg)]}
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "huge.cfmr"
+        path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(LoadError, match="huge.cfmr: truncated data for parameter "
+                                            "'embed.data_proj.w'"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.cfmr"
         path.write_bytes(b"garbage")

@@ -378,9 +378,6 @@ class TestEvaluate:
         stats = NormalizationStats(50.0, 10.0)
         with pytest.raises(ConfigError, match="batch_size"):
             predict_windows(params, bundle, [0, 1, 2], stats, batch_size=batch_size)
-        with pytest.raises(ConfigError, match="batch_size"):
-            evaluate(params, bundle, chronological_split(bundle.n_steps), "test", [1],
-                     stats, batch_size=batch_size)
 
     @pytest.mark.parametrize("start", [-1, 46])
     def test_window_outside_data_rejected(self, start):
