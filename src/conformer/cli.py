@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
 
-from .data import (DatasetBundle, NormalizationStats, SynthConfig,
-                   chronological_split, load_dataset, save_dataset,
-                   synth_generate)
-from .errors import ConfigError, ConformerError, LoadError, ValidationError
+from .data import (DatasetBundle, SynthConfig, chronological_split, load_dataset,
+                   save_dataset, synth_generate)
+from .errors import ConfigError, ConformerError, LoadError
 from .model import (ABLATIONS, ConFormerConfig, config_from_dict, count_params,
                     estimate_flops, load_checkpoint, save_checkpoint)
 from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
@@ -103,9 +101,7 @@ def cmd_train(args) -> int:
     result = train(bundle, cfg, tcfg)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.cfmr")
-    save_checkpoint(ckpt_path, result.params, extra={
-        "norm_mean": result.stats.mean, "norm_std": result.stats.std,
-        "best_epoch": result.best_epoch})
+    save_checkpoint(ckpt_path, result.params, result.stats, result.best_epoch)
     _write_rows(args.out, "history.csv", ["epoch,train_mae,val_mae"] + [
         f"{r.epoch},{r.train_mae!r},{r.val_mae!r}" for r in result.history])
     _write_resolved(args.out, {"model": result.params.cfg.to_dict(),
@@ -125,18 +121,7 @@ def _metrics_rows(table) -> list[str]:
 
 def _load_for_inference(args):
     """Checkpoint, dataset and normalization stats for evaluate and predict."""
-    params, extra = load_checkpoint(args.checkpoint)
-    for key in ("norm_mean", "norm_std"):
-        if key not in extra:
-            raise LoadError(f"{args.checkpoint}: checkpoint has no '{key}' stat")
-        value = extra[key]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise LoadError(f"{args.checkpoint}: checkpoint '{key}' must be a "
-                            f"finite number, got {value!r}")
-    try:
-        stats = NormalizationStats(extra["norm_mean"], extra["norm_std"])
-    except ValidationError as exc:  # NormalizationStats checks the std
-        raise LoadError(f"{args.checkpoint}: checkpoint 'norm_std': {exc}") from exc
+    params, stats = load_checkpoint(args.checkpoint)
     bundle = load_dataset(args.data)
     _check_calendar(params.cfg.to_dict(), bundle, "checkpoint")
     return params, bundle, stats

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ VALUES_FILE = "values.csv"
 INCIDENTS_FILE = "incidents.csv"
 ADJACENCY_FILE = "adjacency.csv"
 META_FILE = "meta.json"
+# The ``DatasetBundle`` attributes that ``meta.json`` holds, under these names.
+META_KEYS = ("interval_minutes", "start_weekday", "start_slot", "n_nodes", "n_steps",
+             "acc_vocab", "reg_vocab")
 
 
 @dataclass
@@ -88,6 +92,11 @@ class NormalizationStats:
     std: float
 
     def __post_init__(self):
+        for name in ("mean", "std"):
+            value = getattr(self, name)
+            # type() rejects bools; abs() of a huge int compares without overflow.
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not self.std > 0:
             raise ValidationError(f"std must be > 0, got {self.std}")
 
@@ -227,15 +236,7 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> None:
     with open(os.path.join(out_dir, ADJACENCY_FILE), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("src,dst,weight\n")
         fh.writelines(f"{src},{dst},{weight!r}\n" for src, dst, weight in bundle.graph.edges)
-    meta = {
-        "interval_minutes": bundle.interval_minutes,
-        "start_weekday": bundle.start_weekday,
-        "start_slot": bundle.start_slot,
-        "n_nodes": bundle.n_nodes,
-        "n_steps": bundle.n_steps,
-        "acc_vocab": list(bundle.acc_vocab),
-        "reg_vocab": list(bundle.reg_vocab),
-    }
+    meta = {key: getattr(bundle, key) for key in META_KEYS}  # tuples dump as lists
     with open(os.path.join(out_dir, META_FILE), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -259,15 +260,19 @@ def _bad_utf8_line(path) -> int:
 
 def _csv_rows(path, header: list[str]):
     """``(line number, row)`` for each row of CSV file ``path`` after its
-    ``header`` line; undecodable bytes and CSV syntax errors become a
-    ``LoadError`` naming the file and line."""
+    ``header`` line; undecodable bytes, CSV syntax errors and a row without
+    one field per header field become a ``LoadError`` naming the file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
             if got != header:
                 raise _load_error(path, 1, f"expected header {','.join(header)}, got {got}")
-            yield from enumerate(reader, start=2)
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise _load_error(path, line_no,
+                                      f"expected {len(header)} fields, got {len(row)}")
+                yield line_no, row
         except UnicodeDecodeError as exc:
             raise _load_error(path, _bad_utf8_line(path),
                               f"not valid UTF-8: {exc.reason}") from exc
@@ -281,8 +286,6 @@ def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
     values = np.zeros((n_steps, n_nodes))
     seen = np.zeros((n_steps, n_nodes), dtype=bool)
     for line_no, row in _csv_rows(path, ["t", "node", "value"]):
-        if len(row) != 3:
-            raise _load_error(path, line_no, f"expected 3 fields, got {len(row)}")
         try:
             t, n, v = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
@@ -379,9 +382,7 @@ def load_dataset(data_dir) -> DatasetBundle:
             raise LoadError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise LoadError(f"{meta_path}: expected a JSON object")
-    required = {"interval_minutes", "start_weekday", "start_slot", "n_nodes",
-                "n_steps", "acc_vocab", "reg_vocab"}
-    missing = required - set(meta)
+    missing = set(META_KEYS) - set(meta)
     if missing:
         raise LoadError(f"{meta_path}: missing keys {sorted(missing)}")
 
@@ -412,8 +413,6 @@ def load_dataset(data_dir) -> DatasetBundle:
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     ipath = paths[INCIDENTS_FILE]
     for line_no, row in _csv_rows(ipath, ["t", "node", "kind", "code"]):
-        if len(row) != 4:
-            raise _load_error(ipath, line_no, f"expected 4 fields, got {len(row)}")
         try:
             t, n, kind, code = int(row[0]), int(row[1]), row[2], int(row[3])
         except ValueError as exc:
@@ -432,8 +431,6 @@ def load_dataset(data_dir) -> DatasetBundle:
     edges = []
     apath = paths[ADJACENCY_FILE]
     for line_no, row in _csv_rows(apath, ["src", "dst", "weight"]):
-        if len(row) != 3:
-            raise _load_error(apath, line_no, f"expected 3 fields, got {len(row)}")
         try:
             edges.append((int(row[0]), int(row[1]), float(row[2])))
         except ValueError as exc:

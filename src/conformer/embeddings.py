@@ -52,17 +52,16 @@ def _validate_ids(ids: np.ndarray, vocab_size: int, name: str):
     return ids.astype(np.int64)
 
 
-def embed_all(x: nm.Tensor, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
+def embed_all(x: nm.Tensor | np.ndarray, acc_ids: np.ndarray, reg_ids: np.ndarray, t0,
               params, cal: CalendarIndexer) -> nm.Tensor:
     """Fused input embedding, ``[..., T, N, D_model]``.
 
-    ``x`` is ``[T, N, D_in]`` or batched ``[B, T, N, D_in]``; ids match its
-    leading shape without the feature axis. ``t0`` holds the absolute start
-    step of each window: an int, or one int per batch element. Reads the
-    ``embed.*`` entries of ``params``; category id 0 is reserved for "no
-    incident" in the acc/reg tables.
+    ``x`` is ``[T, N, D_in]`` or batched ``[B, T, N, D_in]``, a plain array
+    unless its gradient is wanted; ids match its leading shape without the
+    feature axis. ``t0`` is the absolute start step of each window: an int, or
+    one per batch element. Reads the ``embed.*`` entries of ``params``; id 0
+    means "no incident" in the acc/reg tables.
     """
-    x = nm.as_tensor(x)
     t_len = x.shape[-3]
     lead = x.shape[:-1]
 

@@ -4,11 +4,13 @@ parameter accounting, FLOPs estimation, and checkpoint serialization."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, asdict
+from collections.abc import Iterator
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from . import numerics as nm
 from .attention import conditional_qkv, fuse, spatial_attention, temporal_attention
 from .conditioning import (ConditionFactors, generate_factors, gln,
                            modulated_residual)
+from .data import NormalizationStats
 from .embeddings import CalendarIndexer, embed_all
 from .errors import ConfigError, DimensionError, LoadError
 from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
@@ -148,70 +151,81 @@ class ConFormerParams:
             (k, nm.Tensor(v.data.copy())) for k, v in self.arrays.items()))
 
 
-def param_spec(cfg: ConFormerConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+def param_spec(cfg: ConFormerConfig) -> Iterator[tuple[str, tuple[int, ...], float | str]]:
     """Every learnable array as ``(name, shape, init)``, in enumeration order.
 
     ``init`` is a uniform bound ``s`` (drawn from ``U(-s, s)``), ``"zeros"``
     or ``"ones"``. The order is the contract for initialization draws,
-    parameter counting, gradient records and checkpoint layout.
+    parameter counting, gradient records and checkpoint layout. Entries come
+    one at a time, so a caller can stop before listing ``n_layers`` layers.
     """
     d, c = cfg.d_model, cfg.cond_width
-    spec: list[tuple[str, tuple[int, ...], float | str]] = []
 
-    def affine(w: str, b: str, n_in: int, n_out: int) -> None:
+    def affine(w: str, b: str, n_in: int, n_out: int):
         bound = 1.0 / math.sqrt(n_in)  # np.sqrt takes no int beyond int64
-        spec.extend([(w, (n_in, n_out), bound), (b, (n_out,), bound)])
+        return [(w, (n_in, n_out), bound), (b, (n_out,), bound)]
 
-    affine("embed.data_proj.w", "embed.data_proj.b", cfg.d_in, cfg.d_data)
-    spec.extend([("embed.acc_table", (cfg.n_acc_codes, cfg.d_acc), 0.1),
-                 ("embed.reg_table", (cfg.n_reg_codes, cfg.d_reg), 0.1),
-                 ("embed.dow_table", (7, cfg.d_dow), 0.1),
-                 ("embed.tod_table", (cfg.steps_per_day, cfg.d_tod), 0.1),
-                 ("embed.adaptive", (cfg.t_in, cfg.n_nodes, cfg.d_stae), 0.1)])
-    affine("embed.fuse.w", "embed.fuse.b", cfg.embed_width, d)
+    yield from affine("embed.data_proj.w", "embed.data_proj.b", cfg.d_in, cfg.d_data)
+    yield from [("embed.acc_table", (cfg.n_acc_codes, cfg.d_acc), 0.1),
+                ("embed.reg_table", (cfg.n_reg_codes, cfg.d_reg), 0.1),
+                ("embed.dow_table", (7, cfg.d_dow), 0.1),
+                ("embed.tod_table", (cfg.steps_per_day, cfg.d_tod), 0.1),
+                ("embed.adaptive", (cfg.t_in, cfg.n_nodes, cfg.d_stae), 0.1)]
+    yield from affine("embed.fuse.w", "embed.fuse.b", cfg.embed_width, d)
 
     for i in range(cfg.n_layers):
         p = f"layer{i}."
         for gen in ("gen_c", "gen_f"):
-            affine(f"{p}{gen}.hidden.w", f"{p}{gen}.hidden.b", c, d)
-            spec.extend([(f"{p}{gen}.out.w", (d, 2 * d + 1), "zeros"),
-                         (f"{p}{gen}.out.b", (2 * d + 1,), "zeros")])
+            yield from affine(f"{p}{gen}.hidden.w", f"{p}{gen}.hidden.b", c, d)
+            yield from [(f"{p}{gen}.out.w", (d, 2 * d + 1), "zeros"),
+                        (f"{p}{gen}.out.b", (2 * d + 1,), "zeros")]
         for w, b, n_in, n_out in (("attn.wq", "attn.bq", d, d),
                                   ("attn.wk", "attn.bk", d + c, d),
                                   ("attn.wv", "attn.bv", d + c, d),
                                   ("attn.fuse.w", "attn.fuse.b", 2 * d, d),
                                   ("ff.w1", "ff.b1", d, 4 * d),
                                   ("ff.w2", "ff.b2", 4 * d, d)):
-            affine(p + w, p + b, n_in, n_out)
+            yield from affine(p + w, p + b, n_in, n_out)
         if cfg.ablated("plain-ln"):
             for ln in ("ln1", "ln2"):
-                spec.extend([(f"{p}{ln}.gamma", (d,), "ones"),
-                             (f"{p}{ln}.beta", (d,), "zeros")])
+                yield from [(f"{p}{ln}.gamma", (d,), "ones"),
+                            (f"{p}{ln}.beta", (d,), "zeros")]
 
-    affine("readout.w", "readout.b", cfg.t_in * d, cfg.t_out)
-    return spec
+    yield from affine("readout.w", "readout.b", cfg.t_in * d, cfg.t_out)
 
 
 _FILLS = {"zeros": np.zeros, "ones": np.ones}
 
 
+def _check_allocatable(what: str, shape) -> None:
+    try:
+        np.empty(shape)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
+
+
 def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
-    """Fresh parameters; generator output heads start at exactly zero."""
+    """Fresh parameters; generator output heads start at exactly zero.
+
+    Each shape, all found in a model of at most one layer, and then the total
+    are tried for allocation before ``n_layers`` layers are listed."""
+    for name, shape, _ in param_spec(replace(cfg, n_layers=min(cfg.n_layers, 1))):
+        _check_allocatable(f"parameter '{name}' of shape {shape}", shape)
+    total = count_params(cfg)
+    _check_allocatable(f"{total} parameters", total)
     rng = np.random.default_rng(seed)
-    arrays: "OrderedDict[str, nm.Tensor]" = OrderedDict()
-    for name, shape, init in param_spec(cfg):
-        try:
-            values = _FILLS[init](shape) if init in _FILLS else rng.uniform(-init, init, shape)
-        except (ValueError, MemoryError) as exc:  # numpy refuses the size
-            raise ConfigError(f"parameter '{name}' of shape {shape} cannot be "
-                              f"allocated: {exc}") from exc
-        arrays[name] = nm.Tensor(values)
-    return ConFormerParams(cfg, arrays)
+    return ConFormerParams(cfg, OrderedDict(
+        (name, nm.Tensor(_FILLS[init](shape) if init in _FILLS
+                         else rng.uniform(-init, init, shape)))
+        for name, shape, init in param_spec(cfg)))
 
 
 def count_params(cfg: ConFormerConfig) -> int:
-    """Exact number of scalar learnables: the sum over ``param_spec``."""
-    return sum(math.prod(shape) for _, shape, _ in param_spec(cfg))
+    """Exact number of scalar learnables: the sum over ``param_spec``, read off
+    the models of 0 and 1 layers, as every layer holds as many as the first."""
+    base, one = (sum(math.prod(shape) for _, shape, _ in
+                     param_spec(replace(cfg, n_layers=n))) for n in (0, 1))
+    return base + cfg.n_layers * (one - base)
 
 
 def estimate_flops(cfg: ConFormerConfig, n_edges: int) -> int:
@@ -260,7 +274,6 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
     is ``[T', N, 1]`` (or ``[B, T', N, 1]``). Pass ``dropout_rng`` only during
     training; inference is deterministic.
     """
-    x = nm.as_tensor(x)
     if x.ndim not in (3, 4):
         raise DimensionError(f"input must be [.., T, N, D_in], got {x.shape}")
     if x.shape[-3] != cfg.t_in or x.shape[-2] != cfg.n_nodes or x.shape[-1] != cfg.d_in:
@@ -319,16 +332,16 @@ def readout(h: nm.Tensor, params: ConFormerParams, cfg: ConFormerConfig) -> nm.T
 # -- checkpoint I/O -----------------------------------------------------------
 
 
-def save_checkpoint(path, params: ConFormerParams, extra: dict | None = None) -> None:
-    """Single-file checkpoint: JSON header then little-endian float64 arrays.
-
-    Arrays are written flat in enumeration order, so the file is byte-stable
-    for a given (config, parameter values, extra) triple.
-    """
+def save_checkpoint(path, params: ConFormerParams, stats: NormalizationStats,
+                    best_epoch: int) -> None:
+    """Single-file checkpoint: a JSON header (config, parameter list, the
+    normalization stats the parameters were fit with, best epoch), then the
+    arrays as flat little-endian float64 in enumeration order. Equal inputs
+    give equal bytes."""
     header = {
         "config": params.cfg.to_dict(),
         "params": [[name, list(t.shape)] for name, t in params.entries()],
-        "extra": extra or {},
+        "extra": {"norm_mean": stats.mean, "norm_std": stats.std, "best_epoch": best_epoch},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -339,8 +352,9 @@ def save_checkpoint(path, params: ConFormerParams, extra: dict | None = None) ->
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
-    """Inverse of ``save_checkpoint``; validates the header against ``param_spec``."""
+def load_checkpoint(path) -> tuple[ConFormerParams, NormalizationStats]:
+    """Inverse of ``save_checkpoint``: the parameters and their normalization
+    stats. The header is validated against ``param_spec``."""
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
@@ -353,13 +367,13 @@ def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
     try:
         header = json.loads(buf.read(header_len).decode("utf-8"))
         cfg = config_from_dict(ConFormerConfig, header["config"], "model")
+        extra = header["extra"]
+        stats = NormalizationStats(extra["norm_mean"], extra["norm_std"])
         listed = header["params"]
-        extra = header.get("extra", {})
-        if not isinstance(extra, dict):
-            raise TypeError(f"'extra' must be an object, got {extra!r}")
+        # One entry past the listed ones, as n_layers may be too large to list.
+        spec = list(itertools.islice(param_spec(cfg), len(listed) + 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
-    spec = param_spec(cfg)
     if listed != [[name, list(shape)] for name, shape, _ in spec]:
         raise LoadError(f"{path}: parameter enumeration does not match config")
     arrays: "OrderedDict[str, nm.Tensor]" = OrderedDict()
@@ -371,4 +385,4 @@ def load_checkpoint(path) -> tuple[ConFormerParams, dict]:
         arrays[name] = nm.Tensor(np.frombuffer(buf.read(n_bytes), dtype="<f8").reshape(shape))
     if buf.read(1):
         raise LoadError(f"{path}: trailing bytes after parameter data")
-    return ConFormerParams(cfg, arrays), extra
+    return ConFormerParams(cfg, arrays), stats

@@ -221,14 +221,12 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
     Fully deterministic for a fixed seed.
     """
     split = split or chronological_split(bundle.n_steps)
-    train_windows, _ = _split_windows(bundle, split, "train", cfg.t_in, cfg.t_out)
+    train_windows, y_train = _split_windows(bundle, split, "train", cfg.t_in, cfg.t_out)
     val_windows, y_val = _split_windows(bundle, split, "val", cfg.t_in, cfg.t_out)
-    for name in ("train", "val"):
-        lo, hi = split.range_for(name)
-        # The split's windows forecast exactly its steps from lo + T on.
-        if not bundle.values[lo + cfg.t_in:hi].any():
-            raise ConfigError(f"split '{name}' has no observed target: every value in "
-                              f"steps [{lo + cfg.t_in}, {hi}) is 0 (missing)")
+    for name, y in (("train", y_train), ("val", y_val)):
+        if not y.any():
+            raise ConfigError(f"split '{name}' has no observed target: every target "
+                              "value of its windows is 0 (missing)")
 
     lo, hi = split.train
     stats = fit_normalization(bundle.values[lo:hi])
@@ -249,12 +247,12 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
         order = shuffle_rng.permutation(len(train_windows))
         epoch_losses = []
         for start in range(0, len(order), tcfg.batch_size):
-            t0s = train_windows[order[start:start + tcfg.batch_size]]
+            batch = order[start:start + tcfg.batch_size]
+            t0s = train_windows[batch]
             x, acc, reg = _gather(bundle, t0s, cfg.t_in, stats)
-            y = window_block(bundle.values, t0s, cfg.t_in, cfg.t_out)[..., None]
             pred = forward(x, acc, reg, t0s, op, params, cfg,
                            dropout_rng=dropout_rng if cfg.dropout > 0 else None)
-            loss = masked_mae_loss(pred, y, stats)
+            loss = masked_mae_loss(pred, y_train[batch], stats)
             if loss is None:
                 continue
             loss_val = loss.item()

@@ -1,20 +1,47 @@
+import contextlib
 import json
+import math
 import os
 import re
+import resource
 import struct
 
 import numpy as np
 import pytest
 
-from conformer.cli import build_parser, main
+from conformer.cli import build_parser, main, resolve_model_config
 from conformer.data import chronological_split, load_dataset, save_dataset
 from conformer.errors import ConfigError, ConformerError, LoadError
-from conformer.model import ConFormerConfig, count_params, load_checkpoint, save_checkpoint
+from conformer.model import (ConFormerConfig, count_params, estimate_flops, load_checkpoint,
+                             param_spec)
+from conformer.trainer import evaluate_historical_inertia
 
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def write_checkpoint(path, header: dict, data: bytes = b"") -> None:
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob + data)
+
+
+@contextlib.contextmanager
+def address_space_cap(extra=1 << 30):
+    """Cap this process's address space ``extra`` bytes above its current
+    size, so that code listing 10^12 layers fails fast instead of filling
+    the machine's memory."""
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if old[1] == resource.RLIM_INFINITY else min(size + extra, old[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
 
 
 @pytest.fixture
@@ -72,6 +99,12 @@ class TestSynth:
         assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
         assert "start_weekday" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_io_error_exits_1(self, tmp_path, tiny_config, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        assert main(["synth", "--config", tiny_config, "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("io error: ")
 
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -213,28 +246,27 @@ class TestEvaluatePredictFlops:
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("extra, message", [
-        (None, "no 'norm_mean'"),
-        ({"norm_mean": 1.0}, "no 'norm_std'"),
-        ({"norm_mean": "fast", "norm_std": 1.0},
-         "'norm_mean' must be a finite number.*'fast'"),
-        ({"norm_mean": float("nan"), "norm_std": 1.0},
-         "'norm_mean' must be a finite number.*nan"),
-        ({"norm_mean": 1.0, "norm_std": float("inf")},
-         "'norm_std' must be a finite number.*inf"),
-        ({"norm_mean": 1.0, "norm_std": 0.0}, "'norm_std': std must be > 0, got 0.0"),
+        ({}, r"KeyError\('norm_mean'\)"),
+        ({"norm_mean": 1.0}, r"KeyError\('norm_std'\)"),
+        ({"norm_mean": "fast", "norm_std": 1.0}, "mean must be a finite number, got 'fast'"),
+        ({"norm_mean": float("nan"), "norm_std": 1.0}, "mean must be a finite number, got nan"),
+        ({"norm_mean": 1.0, "norm_std": float("inf")}, "std must be a finite number, got inf"),
+        ({"norm_mean": 1.0, "norm_std": 0.0}, "std must be > 0, got 0.0"),
     ], ids=["no-stats", "no-std", "text-mean", "nan-mean", "inf-std", "zero-std"])
     def test_checkpoint_stats_checked(self, tmp_path, trained, capsys, command,
                                       extra, message):
         data, ckpt = trained
-        params, _ = load_checkpoint(ckpt)
+        raw = read(ckpt)
+        (size,) = struct.unpack("<Q", raw[6:14])
+        header = json.loads(raw[14:14 + size])
         bad = str(tmp_path / "bad.cfmr")
-        save_checkpoint(bad, params, extra)
+        write_checkpoint(bad, {**header, "extra": extra}, raw[14 + size:])
         argv = [command, "--checkpoint", bad, "--data", data]
         if command == "predict":
             argv += ["--at", "0", "--out", str(tmp_path / "p")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "bad.cfmr" in err and re.search(message, err), err
+        assert "bad.cfmr: corrupt checkpoint header" in err and re.search(message, err), err
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("synth, message", [
@@ -275,6 +307,15 @@ class TestEvaluatePredictFlops:
         params = count_params(ConFormerConfig(d_data=10 ** 20))
         assert f"params={params}" in capsys.readouterr().out
 
+    def test_flops_counts_dataset_edges(self, tmp_path, tiny_config, capsys):
+        data = synth_dir(tmp_path, tiny_config)
+        capsys.readouterr()
+        assert main(["flops", "--config", tiny_config, "--data", data]) == 0
+        with open(tiny_config) as fh:
+            cfg = resolve_model_config(json.load(fh)["model"], None, [])
+        n_edges = len(load_dataset(data).graph.edges)
+        assert n_edges > 0 and f"flops={estimate_flops(cfg, n_edges)} " in capsys.readouterr().out
+
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1
 
@@ -292,6 +333,56 @@ class TestEvaluatePredictFlops:
         data = synth_dir(tmp_path, tiny_config)
         assert main(["hi", "--data", data] + argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_hi_prints_historical_inertia(self, tmp_path, tiny_config, capsys):
+        data = synth_dir(tmp_path, tiny_config)
+        capsys.readouterr()
+        assert main(["hi", "--data", data, "--t-in", "3", "--t-out", "4",
+                     "--horizons", "1,4"]) == 0
+        bundle = load_dataset(data)
+        table = evaluate_historical_inertia(bundle, chronological_split(bundle.n_steps),
+                                            "test", 3, 4, [1, 4])
+        assert capsys.readouterr().out.splitlines() == ["horizon,mae,rmse,mape,n_valid"] + [
+            f"{key},{m.mae!r},{m.rmse!r},{m.mape!r},{m.n_valid}" for key, m in table.items()]
+
+
+HUGE_LAYERS = 10 ** 12
+
+
+@pytest.mark.parametrize("command", ["flops", "train", "evaluate"])
+def test_any_n_layers_is_counted_or_refused(tmp_path, tiny_config, capsys, command):
+    """``flops`` counts 10^12 layers, ``train`` refuses to allocate them and a
+    checkpoint header claiming them is refused, none of them listing the layers."""
+    with open(tiny_config) as fh:
+        run = json.load(fh)
+    run["model"]["n_layers"] = HUGE_LAYERS
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(run))
+    data = synth_dir(tmp_path, tiny_config)
+    cfg = resolve_model_config(run["model"], load_dataset(data), [])
+    checkpoint = tmp_path / "huge.cfmr"
+    write_checkpoint(checkpoint, {"config": cfg.to_dict(),
+                                  "extra": {"norm_mean": 50.0, "norm_std": 10.0},
+                                  "params": [["embed.data_proj.w", [1, 4]]]})
+    argv = {"flops": ["flops", "--config", str(config), "--edges", "10"],
+            "train": ["train", "--data", data, "--config", str(config),
+                      "--out", str(tmp_path / "out")],
+            "evaluate": ["evaluate", "--checkpoint", str(checkpoint), "--data", data]}
+    capsys.readouterr()
+    with address_space_cap():
+        code = main(argv[command])
+    out, err = capsys.readouterr()
+    if command == "flops":
+        # The count of one and of two layers, each summed over its full listing.
+        one, two = (sum(math.prod(shape) for _, shape, _ in
+                        param_spec(ConFormerConfig(**{**run["model"], "n_layers": n})))
+                    for n in (1, 2))
+        assert code == 0 and f"params={one + (HUGE_LAYERS - 1) * (two - one)}" in out, err
+    elif command == "train":
+        assert code == 1 and re.search(r"error: \d+ parameters cannot be allocated", err), err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 1 and "huge.cfmr: parameter enumeration does not match config" in err
 
 
 TRAIN = ["train", "--data", "{data}", "--config", "{config}", "--out", "{out}"]

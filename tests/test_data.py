@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformer import data
-from conformer.data import (DatasetBundle, SynthConfig, chronological_split,
+from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig, chronological_split,
                             fit_normalization, load_dataset, make_windows,
                             masked_metrics, save_dataset, synth_generate,
                             window_block, windows_with_incidents)
@@ -93,6 +93,17 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match=f"meta.json: .*{key}"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key", data.META_KEYS)
+    def test_missing_meta_key_rejected(self, tmp_path, key):
+        save_dataset(tiny_bundle(), tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert sorted(meta) == sorted(data.META_KEYS)
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(LoadError, match=rf"meta.json: missing keys \['{key}'\]"):
+            load_dataset(tmp_path)
+
     def test_meta_must_be_object(self, tmp_path):
         save_dataset(tiny_bundle(), tmp_path)
         (tmp_path / "meta.json").write_text("5")
@@ -152,7 +163,11 @@ class TestRoundTrip:
         ("values.csv", 4, b"1,0,\xff", "not valid UTF-8"),
         ("incidents.csv", 2, b"\xff", "not valid UTF-8"),
         ("values.csv", 4, b"1,0," + b"1" * 200_000, "malformed CSV: field larger"),
-    ], ids=["values-utf8", "incidents-utf8", "values-field-limit"])
+        ("values.csv", 4, b"1,0", "expected 3 fields, got 2"),
+        ("incidents.csv", 2, b"5,1,acc,1,1", "expected 4 fields, got 5"),
+        ("adjacency.csv", 3, b"", "expected 3 fields, got 0"),
+    ], ids=["values-utf8", "incidents-utf8", "values-field-limit", "values-fields",
+            "incidents-fields", "adjacency-fields"])
     def test_bad_bytes_name_file_and_line(self, tmp_path, name, line_no, text, error):
         save_dataset(tiny_bundle(), tmp_path)
         path = tmp_path / name
@@ -301,6 +316,21 @@ class TestNormalization:
         lo, hi = split.train
         stats = fit_normalization(bundle.values[lo:hi])
         assert stats.mean == bundle.values[lo:hi].mean()
+
+    @pytest.mark.parametrize("name", ["mean", "std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, True,
+                                       "1.0", None],
+                             ids=["nan", "inf", "-inf", "int-1e400", "true", "text", "null"])
+    def test_stats_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be a finite number, "
+                                                  f"got {re.escape(repr(value))}"):
+            NormalizationStats(**{"mean": 0.0, "std": 1.0, name: value})
+
+    @pytest.mark.parametrize("std", [0.0, -2, -1e-300])
+    def test_std_must_be_positive(self, std):
+        with pytest.raises(ValidationError, match=f"std must be > 0, got {std}"):
+            NormalizationStats(0.0, std)
+        assert NormalizationStats(-3, 2).apply([1.0]) == [2.0]
 
 
 class TestSplits:
@@ -482,6 +512,10 @@ class TestSynthGenerate:
                               topology=topo, incident_rate=0.0)
             bundle = synth_generate(gen, seed=9)
             assert bundle.graph.n_nodes == 9
+
+    def test_grid_of_prime_size_is_a_line(self):
+        line = {(i, i + 1, 1.0) for i in range(6)} | {(i + 1, i, 1.0) for i in range(6)}
+        assert set(data._grid_graph(7).edges) == line
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigError, match="topology"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformer import numerics as nm
-from conformer.data import SynthConfig
+from conformer.data import NormalizationStats, SynthConfig
 from conformer.embeddings import embed_all
 from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
@@ -238,7 +238,8 @@ class TestCounting:
         assert params["embed.dow_table"].size == 56
 
     def test_total_is_sum_of_entries(self):
-        for cfg in (tiny_cfg(), tiny_cfg(n_layers=2, ablations=("plain-ln",))):
+        for cfg in (tiny_cfg(n_layers=0), tiny_cfg(), tiny_cfg(n_layers=2, ablations=("plain-ln",)),
+                    tiny_cfg(n_layers=3)):
             built = init_params(cfg, seed=0)
             assert count_params(cfg) == sum(t.size for _, t in built.entries())
 
@@ -306,16 +307,28 @@ class TestFlops:
         assert spatial(doubled) == 4 * spatial(base)
 
 
+STATS = NormalizationStats(1.5, 2.0)
+
+
+def write_header(path, header: dict) -> None:
+    """A checkpoint file holding ``header`` and no parameter data."""
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+
+
 class TestCheckpoint:
     def test_round_trip_and_byte_stability(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=11)
         p1, p2 = tmp_path / "a.cfmr", tmp_path / "b.cfmr"
-        save_checkpoint(p1, params, extra={"norm_mean": 1.5, "norm_std": 2.0})
-        save_checkpoint(p2, params, extra={"norm_mean": 1.5, "norm_std": 2.0})
+        save_checkpoint(p1, params, STATS, 3)
+        save_checkpoint(p2, params, STATS, 3)
         assert p1.read_bytes() == p2.read_bytes()
-        loaded, extra = load_checkpoint(p1)
-        assert extra == {"norm_mean": 1.5, "norm_std": 2.0}
+        (size,) = struct.unpack("<Q", p1.read_bytes()[6:14])
+        header = json.loads(p1.read_bytes()[14:14 + size])
+        assert header["extra"] == {"best_epoch": 3, "norm_mean": 1.5, "norm_std": 2.0}
+        loaded, stats = load_checkpoint(p1)
+        assert stats == STATS
         assert loaded.cfg == cfg
         for (n1, t1), (n2, t2) in zip(params.entries(), loaded.entries()):
             assert n1 == n2
@@ -324,7 +337,7 @@ class TestCheckpoint:
     def test_truncated_file_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "c.cfmr"
-        save_checkpoint(path, init_params(cfg, seed=0))
+        save_checkpoint(path, init_params(cfg, seed=0), STATS, 1)
         raw = path.read_bytes()
         # cut inside the parameter data, then twice inside the length field
         for cut in (raw[:-16], raw[:8], raw[:12]):
@@ -333,8 +346,7 @@ class TestCheckpoint:
                 load_checkpoint(path)
         for header in ({"params": []}, {"config": cfg.to_dict()},
                        {"config": cfg.to_dict(), "params": [], "extra": [1.5]}):
-            blob = json.dumps(header).encode("utf-8")
-            path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+            write_header(path, header)
             with pytest.raises(LoadError, match=f"{path.name}.*corrupt"):
                 load_checkpoint(path)
 
@@ -343,11 +355,10 @@ class TestCheckpoint:
         # The header matches its config, but no file holds the listed bytes;
         # the size is compared before any read of it.
         cfg = tiny_cfg(d_data=d_data)
-        header = {"config": cfg.to_dict(), "extra": {},
+        header = {"config": cfg.to_dict(), "extra": {"norm_mean": 1.5, "norm_std": 2.0},
                   "params": [[name, list(shape)] for name, shape, _ in param_spec(cfg)]}
-        blob = json.dumps(header).encode("utf-8")
         path = tmp_path / "huge.cfmr"
-        path.write_bytes(b"CFMR1\n" + struct.pack("<Q", len(blob)) + blob)
+        write_header(path, header)
         with pytest.raises(LoadError, match="huge.cfmr: truncated data for parameter "
                                             "'embed.data_proj.w'"):
             load_checkpoint(path)

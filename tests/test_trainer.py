@@ -232,6 +232,24 @@ class TestTraining:
         with pytest.raises(ConfigError, match=f"split '{split_name}' has no observed target"):
             train(bundle, tiny_cfg(bundle), TrainConfig(max_epochs=1))
 
+    def test_batch_without_observed_target_skipped(self, monkeypatch):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        lo, _ = chronological_split(bundle.n_steps).train
+        # Only the window starting at lo + 2 forecasts nothing but zeros.
+        bundle.values[lo + 2 + cfg.t_in:lo + 2 + cfg.t_in + cfg.t_out] = 0.0
+        losses = []
+
+        def recording_loss(*args):
+            losses.append(masked_mae_loss(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(trainer, "masked_mae_loss", recording_loss)
+        result = train(bundle, cfg, TrainConfig(batch_size=1, max_epochs=2, patience=5))
+        assert [loss is None for loss in losses].count(True) == 2  # once per epoch
+        assert len(result.history) == 2
+        assert all(np.isfinite([h.train_mae, h.val_mae]).all() for h in result.history)
+
     def test_split_too_short_rejected(self):
         bundle = tiny_bundle()
         cfg = tiny_cfg(bundle, t_in=20, t_out=20)
