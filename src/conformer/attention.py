@@ -43,8 +43,7 @@ def _attend(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor, n_heads: int) -> nm.Tensor
         raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     d_head = qh.shape[-1]
-    scores = nm.matmul(qh, nm.transpose(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2)))
-    weights = nm.softmax_last_axis(scores, 1.0 / np.sqrt(d_head))
+    weights = nm.attention_weights(qh, kh, 1.0 / np.sqrt(d_head))
     return _merge_heads(nm.matmul(weights, vh))
 
 

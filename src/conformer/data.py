@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ VALUES_FILE = "values.csv"
 INCIDENTS_FILE = "incidents.csv"
 ADJACENCY_FILE = "adjacency.csv"
 META_FILE = "meta.json"
+# The header line of each CSV file, which its writer and readers share.
+CSV_HEADERS = {VALUES_FILE: "t,node,value", INCIDENTS_FILE: "t,node,kind,code",
+               ADJACENCY_FILE: "src,dst,weight"}
 # The ``DatasetBundle`` attributes that ``meta.json`` holds, under these names.
 META_KEYS = ("interval_minutes", "start_weekday", "start_slot", "n_nodes", "n_steps",
              "acc_vocab", "reg_vocab")
@@ -219,27 +223,32 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> None:
     that round-trips exactly, so save -> load is bitwise lossless.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, VALUES_FILE), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,node,value\n")
+    with _csv_writer(out_dir, VALUES_FILE) as fh:
         node_fields = [f",{n}," for n in range(bundle.n_nodes)]
         # One row at a time: ``tolist`` of the whole matrix would hold every
         # value as a Python float at once.
         for t in range(bundle.n_steps):
             fh.write("".join([f"{t}{node}{v!r}\n" for node, v in
                               zip(node_fields, bundle.values[t].tolist())]))
-    with open(os.path.join(out_dir, INCIDENTS_FILE), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,node,kind,code\n")
+    with _csv_writer(out_dir, INCIDENTS_FILE) as fh:
         for kind, ids in (("acc", bundle.acc_ids), ("reg", bundle.reg_ids)):
             ts, ns = np.nonzero(ids)
             fh.writelines(f"{t},{n},{kind},{code}\n" for t, n, code in
                           zip(ts.tolist(), ns.tolist(), ids[ts, ns].tolist()))
-    with open(os.path.join(out_dir, ADJACENCY_FILE), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("src,dst,weight\n")
+    with _csv_writer(out_dir, ADJACENCY_FILE) as fh:
         fh.writelines(f"{src},{dst},{weight!r}\n" for src, dst, weight in bundle.graph.edges)
     meta = {key: getattr(bundle, key) for key in META_KEYS}  # tuples dump as lists
     with open(os.path.join(out_dir, META_FILE), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextmanager
+def _csv_writer(out_dir, name: str):
+    """CSV file ``name`` in ``out_dir``, open for writing after its header."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADERS[name] + "\n")
+        yield fh
 
 
 def _load_error(path, line_no, msg) -> LoadError:
@@ -258,20 +267,23 @@ def _bad_utf8_line(path) -> int:
     return 1
 
 
-def _csv_rows(path, header: list[str]):
-    """``(line number, row)`` for each row of CSV file ``path`` after its
-    ``header`` line; undecodable bytes, CSV syntax errors and a row without
-    one field per header field become a ``LoadError`` naming the file and line."""
+def _csv_rows(path, name: str):
+    """``(line number, row)`` for each row of CSV file ``path`` after the
+    header line of dataset file ``name``; undecodable bytes, CSV syntax errors
+    and a row without one field per header field become a ``LoadError``
+    naming the file and line."""
+    header = CSV_HEADERS[name]
+    fields = header.split(",")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
-            if got != header:
-                raise _load_error(path, 1, f"expected header {','.join(header)}, got {got}")
+            if got != fields:
+                raise _load_error(path, 1, f"expected header {header}, got {got}")
             for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
+                if len(row) != len(fields):
                     raise _load_error(path, line_no,
-                                      f"expected {len(header)} fields, got {len(row)}")
+                                      f"expected {len(fields)} fields, got {len(row)}")
                 yield line_no, row
         except UnicodeDecodeError as exc:
             raise _load_error(path, _bad_utf8_line(path),
@@ -285,7 +297,7 @@ def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
     source of every ``values.csv`` error."""
     values = np.zeros((n_steps, n_nodes))
     seen = np.zeros((n_steps, n_nodes), dtype=bool)
-    for line_no, row in _csv_rows(path, ["t", "node", "value"]):
+    for line_no, row in _csv_rows(path, VALUES_FILE):
         try:
             t, n, v = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
@@ -304,7 +316,7 @@ def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
     return values
 
 
-_VALUES_HEADER = b"t,node,value\n"
+_VALUES_HEADER = f"{CSV_HEADERS[VALUES_FILE]}\n".encode()
 _VALUES_DTYPE = np.dtype([("t", np.int64), ("node", np.int64), ("value", np.float64)])
 _VALUES_BYTES = b"0123456789+-.eE,\n"
 _VALUES_CHUNK = 1 << 20  # bytes parsed per np.loadtxt call; bounds peak memory
@@ -412,7 +424,7 @@ def load_dataset(data_dir) -> DatasetBundle:
     acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     ipath = paths[INCIDENTS_FILE]
-    for line_no, row in _csv_rows(ipath, ["t", "node", "kind", "code"]):
+    for line_no, row in _csv_rows(ipath, INCIDENTS_FILE):
         try:
             t, n, kind, code = int(row[0]), int(row[1]), row[2], int(row[3])
         except ValueError as exc:
@@ -430,7 +442,7 @@ def load_dataset(data_dir) -> DatasetBundle:
 
     edges = []
     apath = paths[ADJACENCY_FILE]
-    for line_no, row in _csv_rows(apath, ["src", "dst", "weight"]):
+    for line_no, row in _csv_rows(apath, ADJACENCY_FILE):
         try:
             edges.append((int(row[0]), int(row[1]), float(row[2])))
         except ValueError as exc:

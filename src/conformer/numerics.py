@@ -14,13 +14,15 @@ tape instead of two, with the gradients of the matmul-plus-add composite.
 
 ``softmax_last_axis(x, scale)`` is ``softmax(x * scale)`` in one owned
 buffer, forward and VJP, with the op order of the ``mul``-then-softmax
-composite, so attention keeps two ``[.., N, N]`` arrays per call on the tape
-instead of three. ``gelu`` likewise works in one buffer per pass.
+composite. ``attention_weights(q, k, scale)`` is that softmax of
+``q @ kᵀ`` in the product's own buffer, so attention keeps one
+``[.., N, N]`` array per call, on the tape and at peak, instead of two.
+``gelu`` likewise works in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
-parameter, so the arithmetic primitives, ``matmul`` and ``affine`` give it no
-gradient (``None`` in its VJP slot) instead of a full-size product or
-reduction.
+parameter, so the arithmetic primitives, ``matmul``, ``affine`` and
+``attention_weights`` give it no gradient (``None`` in its VJP slot) instead
+of a full-size product or reduction.
 
 ``backward`` runs a node's VJP once a gradient has reached it, and keeps a
 parent's gradient only when the parent is an interior node or a requested
@@ -238,13 +240,13 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: batch dims differ, {a.shape} vs {b.shape}")
 
 
-def _matmul_vjp(grad: Array, a: Tensor, b: Tensor, const_a: bool,
+def _matmul_vjp(grad: Array, a: Array, b: Array, const_a: bool,
                 const_b: bool) -> tuple[Array | None, Array | None]:
     def grad_a():
-        return None if const_a else _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
+        return None if const_a else _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
 
     def grad_b():
-        return None if const_b else _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
+        return None if const_b else _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
 
     # The gradient summed over broadcast axes (an affine weight) is reduced
     # before the other one is allocated: one batched temporary at a time.
@@ -266,7 +268,7 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, a, b, const_a, const_b)
+        return _matmul_vjp(grad, a.data, b.data, const_a, const_b)
 
     return _node(out_data, (a, b), vjp, "matmul")
 
@@ -288,7 +290,7 @@ def affine(x, w, b) -> Tensor:
     out_data += b.data
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, x, w, const_x, const_w) + (
+        return _matmul_vjp(grad, x.data, w.data, const_x, const_w) + (
             None if const_b else _unbroadcast(grad, b.shape),)
 
     return _node(out_data, (x, w, b), vjp, "affine")
@@ -401,6 +403,26 @@ def gelu(x) -> Tensor:
     return _node(x.data * cdf, (x,), vjp, "gelu")
 
 
+def _softmax_in_place(scaled: Array) -> Array:
+    """Softmax over the last axis of ``scaled``, in place: max-shift, ``exp``
+    and division, the op order of the reference formula."""
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    np.exp(scaled, out=scaled)
+    scaled /= scaled.sum(axis=-1, keepdims=True)
+    return scaled
+
+
+def _softmax_vjp(grad: Array, out: Array, scale: float) -> Array:
+    """Gradient of ``softmax(x * scale)`` w.r.t. ``x`` from its output, in one
+    buffer with ``scale`` applied last."""
+    g = grad * out
+    inner = g.sum(axis=-1, keepdims=True)
+    np.subtract(grad, inner, out=g)
+    g *= out
+    g *= scale
+    return g
+
+
 def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
     """Numerically stable ``softmax(x * scale)`` over the last axis.
 
@@ -411,20 +433,43 @@ def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_last_axis: empty last axis in shape {x.shape}")
-    out_data = x.data * scale
-    out_data -= out_data.max(axis=-1, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=-1, keepdims=True)
+    out_data = _softmax_in_place(x.data * scale)
 
     def vjp(grad: Array):
-        g = grad * out_data
-        inner = g.sum(axis=-1, keepdims=True)
-        np.subtract(grad, inner, out=g)
-        g *= out_data
-        g *= scale
-        return (g,)
+        return (_softmax_vjp(grad, out_data, scale),)
 
     return _node(out_data, (x,), vjp, "softmax")
+
+
+def attention_weights(q, k, scale: float) -> Tensor:
+    """``softmax_last_axis(matmul(q, kᵀ), scale)`` as one node, bitwise.
+
+    ``q`` is ``[..., Lq, d]`` and ``k`` is ``[..., Lk, d]``; the weights are
+    ``[..., Lq, Lk]``. The product is computed once and then scaled and
+    softmaxed in that buffer, so a call holds one ``[..., Lq, Lk]`` array
+    where the composite holds two. The product is checked as ``'matmul'``
+    before the softmax, which would turn a ``-inf`` score into a finite 0
+    weight. The VJP is the softmax VJP followed by the ``matmul`` VJP. A
+    plain-array operand gets no gradient.
+    """
+    const_q, const_k = not isinstance(q, Tensor), not isinstance(k, Tensor)
+    q, k = as_tensor(q), as_tensor(k)
+    if (q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]
+            or not _broadcastable(q.shape[:-2], k.shape[:-2])):
+        raise DimensionError(f"attention_weights: q {q.shape} and k {k.shape} do not pair")
+    if k.shape[-2] < 1:
+        raise DimensionError(f"attention_weights: no keys in shape {k.shape}")
+    k_t = np.swapaxes(k.data, -1, -2)
+    out_data = _check_finite(q.data @ k_t, "matmul", (q, k))
+    out_data *= scale
+    _softmax_in_place(out_data)
+
+    def vjp(grad: Array):
+        g_q, g_kt = _matmul_vjp(_softmax_vjp(grad, out_data, scale), q.data, k_t,
+                                const_q, const_k)
+        return g_q, None if g_kt is None else np.swapaxes(g_kt, -1, -2)
+
+    return _node(out_data, (q, k), vjp, "softmax")
 
 
 def concat_last_axis(parts: Iterable) -> Tensor:

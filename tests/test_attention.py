@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,40 @@ class TestScaledSoftmaxAttention:
             return [out.data.tobytes()] + [grads[n].tobytes() for n in "qkv"]
 
         assert run(fast) == run(reference)
+
+
+class TestAttentionMemory:
+    """One ``[.., H, N, N]`` array per call, where scores plus weights made two."""
+
+    T, N, D, HEADS = 2, 256, 8, 2
+    UNIT = 8 * T * HEADS * N * N  # bytes of one [T, H, N, N] float64 array
+
+    def qkv(self):
+        rng = np.random.default_rng(13)
+        return [nm.Tensor(rng.normal(size=(self.T, self.N, self.D))) for _ in range(3)]
+
+    def test_untaped_peak_is_one_weights_array(self):
+        q, k, v = self.qkv()
+        tracemalloc.start()
+        try:
+            with nm.no_tape():
+                spatial_attention(q, k, v, self.HEADS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * self.UNIT, peak / self.UNIT
+
+    def test_tape_holds_one_weights_array(self):
+        q, k, v = self.qkv()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = spatial_attention(q, k, v, self.HEADS)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._parents
+        assert self.UNIT <= held < 1.5 * self.UNIT, held / self.UNIT
 
 
 class TestTemporalAttention:

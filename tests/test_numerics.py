@@ -85,6 +85,48 @@ class TestSoftmax:
         assert node._vjp(grad)[0].tobytes() == expected_grad.tobytes()
 
 
+class TestAttentionWeights:
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+    def test_matches_matmul_softmax_bitwise(self, scale):
+        rng = np.random.default_rng(23)
+        q, k = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 6, 4))
+        weights = rng.normal(size=(2, 3, 5, 6))
+
+        def run(build):
+            params = {"q": nm.Tensor(q), "k": nm.Tensor(k)}
+            out = build(*params.values())
+            grads = nm.backward(nm.tsum(out * weights), params)
+            return [out.data.tobytes()] + [grads[n].tobytes() for n in params]
+
+        assert run(lambda q, k: nm.attention_weights(q, k, scale)) == run(
+            lambda q, k: nm.softmax_last_axis(nm.matmul(q, nm.moveaxis(k, -1, -2)), scale))
+
+    @pytest.mark.parametrize("k_rows", [[[1e200], [1.0], [1.0]], [[-1e200], [1.0], [1.0]]],
+                             ids=["+inf", "-inf"])
+    def test_overflowing_score_named_as_matmul(self, k_rows):
+        # softmax would turn a -inf score into a finite 0 weight
+        q, k = nm.Tensor([[1e200], [1.0]]), nm.Tensor(k_rows)
+        with pytest.raises(NumericsError,
+                           match=r"'matmul' from inputs \(2, 1\) and \(3, 1\)$"), \
+                np.errstate(over="ignore"):
+            nm.attention_weights(q, k, 0.5)
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\) and k \(4, 2\)"):
+            nm.attention_weights(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((4, 2))), 1.0)
+        with pytest.raises(DimensionError, match="no keys"):
+            nm.attention_weights(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((0, 3))), 1.0)
+
+    def test_untaped_has_no_parents(self):
+        q, k = nm.Tensor(np.ones((2, 3))), nm.Tensor(np.zeros((4, 3)))
+        with nm.no_tape():
+            w = nm.attention_weights(q, k, 1.0)
+        assert w._parents == ()
+        assert np.array_equal(w.data, np.full((2, 4), 0.25))
+        with pytest.raises(ContractError, match="no_tape"):
+            nm.backward(nm.tsum(w * 2.0), {"q": q, "k": k})
+
+
 class TestGelu:
     def test_matches_reference_formula_bitwise(self):
         rng = np.random.default_rng(22)
@@ -297,6 +339,8 @@ class TestBackward:
         assert nm.matmul(m.data, w)._vjp(np.ones((1, 1)))[0] is None
         assert nm.matmul(m, w.data)._vjp(np.ones((1, 1)))[1] is None
         assert nm.affine(m.data, w, np.zeros(1))._vjp(np.ones((1, 1)))[::2] == (None, None)
+        assert nm.attention_weights(m.data, m, 1.0)._vjp(np.ones((1, 1)))[0] is None
+        assert nm.attention_weights(m, m.data, 1.0)._vjp(np.ones((1, 1)))[1] is None
         # A Tensor operand still gets its gradient, and so does ``p``.
         g_p, g_t = nm.mul(p, nm.Tensor(arr))._vjp(grad)
         assert np.array_equal(g_p, grad * arr) and np.array_equal(g_t, grad * p.data)
@@ -463,6 +507,12 @@ class TestPrimitiveGradients:
         _fd_check(nm.softmax_last_axis, [a], seed=12)
         _fd_check(lambda x: nm.softmax_last_axis(x, 0.37), [a], seed=19)
         _fd_check(lambda x: nm.softmax_last_axis(x, 2.5), [a], seed=20)
+
+    def test_attention_weights(self):
+        rng = np.random.default_rng(21)
+        q, k = rng.uniform(-2, 2, size=(2, 3, 4)), rng.uniform(-2, 2, size=(2, 5, 4))
+        for scale, seed in ((1.0, 21), (0.37, 22), (2.5, 23)):
+            _fd_check(lambda x, y: nm.attention_weights(x, y, scale), [q, k], seed=seed)
 
     def test_concat_slice(self):
         rng = np.random.default_rng(17)
