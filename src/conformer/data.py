@@ -22,9 +22,12 @@ VALUES_FILE = "values.csv"
 INCIDENTS_FILE = "incidents.csv"
 ADJACENCY_FILE = "adjacency.csv"
 META_FILE = "meta.json"
-# The header line of each CSV file, which its writer and readers share.
+# Each CSV file's header, and its row conversion: a per-field loop took 2.5x as long.
 CSV_HEADERS = {VALUES_FILE: "t,node,value", INCIDENTS_FILE: "t,node,kind,code",
                ADJACENCY_FILE: "src,dst,weight"}
+CSV_ROW_TYPES = {VALUES_FILE: lambda row: (int(row[0]), int(row[1]), float(row[2])),
+                 INCIDENTS_FILE: lambda row: (int(row[0]), int(row[1]), row[2], int(row[3])),
+                 ADJACENCY_FILE: lambda row: (int(row[0]), int(row[1]), float(row[2]))}
 # The ``DatasetBundle`` attributes that ``meta.json`` holds, under these names.
 META_KEYS = ("interval_minutes", "start_weekday", "start_slot", "n_nodes", "n_steps",
              "acc_vocab", "reg_vocab")
@@ -268,22 +271,24 @@ def _bad_utf8_line(path) -> int:
 
 
 def _csv_rows(path, name: str):
-    """``(line number, row)`` for each row of CSV file ``path`` after the
-    header line of dataset file ``name``; undecodable bytes, CSV syntax errors
-    and a row without one field per header field become a ``LoadError``
-    naming the file and line."""
-    header = CSV_HEADERS[name]
-    fields = header.split(",")
+    """Typed ``(line number, fields)`` of each row of CSV file ``path`` after
+    the header of dataset file ``name``. Bad bytes, CSV syntax, field counts
+    and field values raise a ``LoadError`` naming the file and line."""
+    header, convert = CSV_HEADERS[name], CSV_ROW_TYPES[name]
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            got = next(reader, None)
-            if got != fields:
-                raise _load_error(path, 1, f"expected header {header}, got {got}")
+            fields = next(reader, None)
+            if fields != header.split(","):
+                raise _load_error(path, 1, f"expected header {header}, got {fields}")
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != len(fields):
                     raise _load_error(path, line_no,
                                       f"expected {len(fields)} fields, got {len(row)}")
+                try:
+                    row = convert(row)
+                except ValueError as exc:
+                    raise _load_error(path, line_no, f"malformed row: {exc}") from exc
                 yield line_no, row
         except UnicodeDecodeError as exc:
             raise _load_error(path, _bad_utf8_line(path),
@@ -292,20 +297,20 @@ def _csv_rows(path, name: str):
             raise _load_error(path, reader.line_num, f"malformed CSV: {exc}") from exc
 
 
+def _check_cell(path, line_no, t: int, n: int, shape) -> None:
+    if not (0 <= t < shape[0] and 0 <= n < shape[1]):
+        raise _load_error(path, line_no, f"(t={t}, node={n}) out of range")
+
+
 def _read_values_rows(path, n_steps: int, n_nodes: int) -> np.ndarray:
     """The reference ``values.csv`` reader: one CSV row at a time, and the
     source of every ``values.csv`` error."""
     values = np.zeros((n_steps, n_nodes))
     seen = np.zeros((n_steps, n_nodes), dtype=bool)
-    for line_no, row in _csv_rows(path, VALUES_FILE):
-        try:
-            t, n, v = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise _load_error(path, line_no, f"malformed row: {exc}") from exc
+    for line_no, (t, n, v) in _csv_rows(path, VALUES_FILE):
         if not math.isfinite(v):
-            raise _load_error(path, line_no, f"non-finite value {row[2]!r}")
-        if not (0 <= t < n_steps and 0 <= n < n_nodes):
-            raise _load_error(path, line_no, f"(t={t}, node={n}) out of range")
+            raise _load_error(path, line_no, f"non-finite value {v}")
+        _check_cell(path, line_no, t, n, seen.shape)
         if seen[t, n]:
             raise _load_error(path, line_no, f"duplicate entry for (t={t}, node={n})")
         seen[t, n] = True
@@ -416,6 +421,12 @@ def load_dataset(data_dir) -> DatasetBundle:
                for v in vocabs.values()):
         raise LoadError(f"{meta_path}: acc_vocab and reg_vocab must be non-empty "
                         "lists of strings")
+    # A values.csv row takes at least 6 bytes, "0,0,0\n", or 5 as a last line
+    # without its newline: a grid the file cannot hold is never allocated.
+    size = os.path.getsize(paths[VALUES_FILE])
+    if n_steps * n_nodes > max(0, size - len(CSV_HEADERS[VALUES_FILE])) // 6:
+        raise LoadError(f"{meta_path}: n_steps * n_nodes = {n_steps * n_nodes} rows do not "
+                        f"fit in the {size} bytes of {paths[VALUES_FILE]}")
 
     values = _read_values_fast(paths[VALUES_FILE], n_steps, n_nodes)
     if values is None:
@@ -424,15 +435,10 @@ def load_dataset(data_dir) -> DatasetBundle:
     acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
     ipath = paths[INCIDENTS_FILE]
-    for line_no, row in _csv_rows(ipath, INCIDENTS_FILE):
-        try:
-            t, n, kind, code = int(row[0]), int(row[1]), row[2], int(row[3])
-        except ValueError as exc:
-            raise _load_error(ipath, line_no, f"malformed row: {exc}") from exc
+    for line_no, (t, n, kind, code) in _csv_rows(ipath, INCIDENTS_FILE):
         if kind not in ("acc", "reg"):
             raise _load_error(ipath, line_no, f"kind must be acc or reg, got '{kind}'")
-        if not (0 <= t < n_steps and 0 <= n < n_nodes):
-            raise _load_error(ipath, line_no, f"(t={t}, node={n}) out of range")
+        _check_cell(ipath, line_no, t, n, acc_ids.shape)
         if not (1 <= code < len(vocabs[kind])):
             raise _load_error(
                 ipath, line_no,
@@ -440,15 +446,10 @@ def load_dataset(data_dir) -> DatasetBundle:
         target = acc_ids if kind == "acc" else reg_ids
         target[t, n] = code
 
-    edges = []
     apath = paths[ADJACENCY_FILE]
-    for line_no, row in _csv_rows(apath, ADJACENCY_FILE):
-        try:
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise _load_error(apath, line_no, f"malformed row: {exc}") from exc
+    edges = tuple(row for _, row in _csv_rows(apath, ADJACENCY_FILE))
     try:
-        graph = GraphSpec(n_nodes=n_nodes, edges=tuple(edges))
+        graph = GraphSpec(n_nodes=n_nodes, edges=edges)
     except ValidationError as exc:
         raise LoadError(f"{apath}: {exc}") from exc
 
@@ -496,6 +497,10 @@ class SynthConfig:
         if self.interval_minutes < 1 or 1440 % self.interval_minutes != 0:
             raise ConfigError(
                 f"interval_minutes must divide 1440, got {self.interval_minutes}")
+        try:
+            CalendarIndexer(1440 // self.interval_minutes, self.start_weekday, self.start_slot)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0.0 < self.drop_factor <= 1.0 or not 0.0 < self.cap_fraction <= 1.0:
             raise ConfigError("drop_factor and cap_fraction must be in (0, 1]")
         if self.duration_steps < 0 or self.recovery_steps < 0:

@@ -20,7 +20,7 @@ from .conditioning import (ConditionFactors, generate_factors, gln,
                            modulated_residual)
 from .data import NormalizationStats
 from .embeddings import CalendarIndexer, embed_all
-from .errors import ConfigError, DimensionError, LoadError
+from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
 
 ABLATIONS = ("no-accident", "no-regulation", "no-alpha", "no-beta", "no-gamma",
@@ -77,6 +77,10 @@ class ConFormerConfig:
         unknown = set(self.ablations) - set(ABLATIONS)
         if unknown:
             raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
+        try:
+            self.calendar()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "ablations", tuple(sorted(set(self.ablations))))
 
     @property

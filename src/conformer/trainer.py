@@ -260,8 +260,7 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
             adam.step(params, grads, tcfg)
             epoch_losses.append(loss_val)
 
-        val_mae = masked_metrics(y_val, predict_windows(
-            params, bundle, val_windows, stats, max(tcfg.batch_size, 64))).mae
+        val_mae = masked_metrics(y_val, predict_windows(params, bundle, val_windows, stats)).mae
         train_mae = float(np.mean(epoch_losses)) if epoch_losses else math.nan
         history.append(EpochRecord(epoch=epoch, train_mae=train_mae, val_mae=val_mae))
 

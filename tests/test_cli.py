@@ -414,6 +414,9 @@ BOUNDARY_PROBES = {
                            "synth incident_rate too large for 2 days: lam value too large"),
     "noise_scale-1e308": ({"synth": {"days": 1, "noise_scale": 1e308}}, SYNTH, 1,
                           r"values\[\d+, \d+\] = inf is not finite"),
+    "flops-start_weekday-9": ({"model": {"start_weekday": 9}},
+                              ["flops", "--config", "{config}", "--edges", "10"], 1,
+                              "start_weekday must be in 0..6, got 9"),
     "synth-seed-negative": ({}, SYNTH + ["--seed", "-1"], 1, "seed must be >= 0, got -1"),
     "hi-t-in-huge": ({}, ["hi", "--data", "{data}", "--t-in", "99999999999999999999"], 1,
                      "split 'test' too short for T=99999999999999999999, T'=12"),

@@ -104,6 +104,25 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match=rf"meta.json: missing keys \['{key}'\]"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 10 ** 12])
+    def test_grid_values_file_cannot_hold_rejected(self, tmp_path, n_steps):
+        # The shortest rows, 6 bytes and a last one of 5 without its newline,
+        # hold one step of 2 nodes; 10^12 steps would ask numpy for TiBs.
+        b = tiny_bundle()
+        zeros = np.zeros((1, 2), dtype=np.int64)
+        save_dataset(DatasetBundle(values=zeros, acc_ids=zeros, reg_ids=zeros,
+                                   graph=b.graph, interval_minutes=60), tmp_path)
+        (tmp_path / "values.csv").write_text("t,node,value\n0,0,0\n0,1,0")
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "n_steps": n_steps}))
+        if n_steps == 1:
+            assert load_dataset(tmp_path).values.tobytes() == bytes(16)
+            return
+        with pytest.raises(LoadError, match=rf"meta.json: n_steps \* n_nodes = {2 * n_steps} "
+                                            r"rows do not fit in the 24 bytes of .*values.csv"):
+            load_dataset(tmp_path)
+
     def test_meta_must_be_object(self, tmp_path):
         save_dataset(tiny_bundle(), tmp_path)
         (tmp_path / "meta.json").write_text("5")
@@ -565,7 +584,8 @@ class TestSynthGenerate:
         ("regulation_rate", float("nan")), ("noise_scale", -1.0),
         ("node_offset_scale", -0.5), ("node_offset_scale", float("inf")),
         ("decay_hops", -1), ("attenuation", 3.0), ("attenuation", -0.1),
-        ("attenuation", float("nan")),
+        ("attenuation", float("nan")), ("start_weekday", 7), ("start_slot", -1),
+        ("start_slot", 288),
     ])
     def test_value_that_breaks_generation_rejected(self, field, value):
         # numpy would raise a bare ValueError, or the value would be ignored.

@@ -43,7 +43,8 @@ class TestConfig:
                     dict(d_model=0), dict(n_layers=-1), dict(d_in=0),
                     dict(d_stae=-1), dict(d_acc=-3), zero_widths, dict(eps=0.0),
                     dict(eps=-1.0), dict(eps=float("nan")), dict(eps=float("inf")),
-                    dict(n_acc_codes=0), dict(n_reg_codes=0)):
+                    dict(n_acc_codes=0), dict(n_reg_codes=0), dict(steps_per_day=0),
+                    dict(start_weekday=9), dict(start_weekday=-1), dict(start_slot=12)):
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad)
 
@@ -345,7 +346,9 @@ class TestCheckpoint:
             with pytest.raises(LoadError, match=f"{path.name}.*truncated"):
                 load_checkpoint(path)
         for header in ({"params": []}, {"config": cfg.to_dict()},
-                       {"config": cfg.to_dict(), "params": [], "extra": [1.5]}):
+                       {"config": cfg.to_dict(), "params": [], "extra": [1.5]},
+                       {"config": {**cfg.to_dict(), "start_slot": 500}, "params": [],
+                        "extra": {"norm_mean": 1.5, "norm_std": 2.0}}):
             write_header(path, header)
             with pytest.raises(LoadError, match=f"{path.name}.*corrupt"):
                 load_checkpoint(path)

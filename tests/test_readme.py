@@ -1,7 +1,8 @@
-"""The README's CLI examples and example run config still work.
+"""The README's CLI examples, example run config and layout still hold.
 
-Every ``conformer ...`` command in the README's CLI block must parse, and
-the example ``run.json`` must build valid model, train and synth configs.
+Every ``conformer ...`` command in the README's CLI block must parse, the
+example ``run.json`` must build valid model, train and synth configs, and the
+Layout block must name every module of the package.
 """
 
 import json
@@ -16,8 +17,8 @@ from conformer.data import SynthConfig
 from conformer.model import config_from_dict
 from conformer.trainer import TrainConfig
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
-    encoding="utf-8")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -49,3 +50,9 @@ def test_example_run_config_is_valid():
     resolve_model_config(raw["model"], None, [])
     config_from_dict(TrainConfig, raw["train"], "train")
     SynthConfig(**raw["synth"])
+
+
+def test_layout_names_every_module():
+    named = set(re.findall(r"\b\w+\.py\b", fenced_block("## Layout", "")))
+    modules = {path.name for path in (ROOT / "src" / "conformer").glob("*.py")}
+    assert modules - {"__init__.py"} - named == set()

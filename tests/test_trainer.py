@@ -373,6 +373,19 @@ class TestEvaluate:
         par = predict_windows(params, bundle, windows, stats, batch_size=2)
         assert np.array_equal(seq, par)
 
+    def test_batch_size_changes_no_byte(self):
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        params = init_params(cfg, seed=2)
+        rng = np.random.default_rng(3)
+        params.replace({n: rng.normal(0, 0.2, t.shape) for n, t in params.entries()})
+        windows = make_windows(bundle, (0, bundle.n_steps), cfg.t_in, cfg.t_out)
+        stats = NormalizationStats(50.0, 10.0)
+        assert 3 < len(windows) < 64 and len(windows) % 3  # a short last batch at 3
+        first, *rest = (predict_windows(params, bundle, windows, stats, batch_size=size)
+                        for size in (1, 3, 64))
+        assert all(pred.tobytes() == first.tobytes() for pred in rest)
+
     def test_prediction_keeps_no_tape(self, monkeypatch):
         bundle = tiny_bundle()
         cfg = tiny_cfg(bundle)
