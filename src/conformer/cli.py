@@ -17,8 +17,6 @@ from .trainer import (TrainConfig, evaluate, evaluate_historical_inertia,
                       predict_windows, train)
 
 SECTIONS = ("model", "train", "synth")
-# Model config keys that must equal the dataset's: the time tables index on them.
-CALENDAR_KEYS = ("steps_per_day", "start_weekday", "start_slot")
 
 
 def load_run_config(path) -> dict:
@@ -40,22 +38,22 @@ def load_run_config(path) -> dict:
     return raw
 
 
-def _check_calendar(model: dict, bundle: DatasetBundle, what: str) -> None:
-    """Reject a calendar in ``model`` that differs from the dataset's."""
-    for key in CALENDAR_KEYS:
-        if key in model and model[key] != getattr(bundle, key):
-            raise ConfigError(f"dataset {key}={getattr(bundle, key)} differs from "
-                              f"{what} {key}={model[key]}")
+def _dataset_fields(bundle: DatasetBundle, model: dict, what: str) -> dict:
+    """The model config fields that ``bundle`` fixes: its node count, calendar and code
+    table sizes. A value in ``model`` that differs is a ``ConfigError`` naming both."""
+    fields = {"n_nodes": bundle.n_nodes, "steps_per_day": bundle.steps_per_day,
+              "start_weekday": bundle.start_weekday, "start_slot": bundle.start_slot,
+              "n_acc_codes": len(bundle.acc_vocab), "n_reg_codes": len(bundle.reg_vocab)}
+    for key, value in fields.items():
+        if key in model and model[key] != value:
+            raise ConfigError(f"dataset {key}={value} differs from {what} {key}={model[key]}")
+    return fields
 
 
 def resolve_model_config(section: dict, bundle: DatasetBundle | None,
                          ablate: list[str]) -> ConFormerConfig:
     if bundle is not None:
-        _check_calendar(section, bundle, "model config")
-        section = {"n_nodes": bundle.n_nodes, "steps_per_day": bundle.steps_per_day,
-                   "start_weekday": bundle.start_weekday, "start_slot": bundle.start_slot,
-                   "n_acc_codes": len(bundle.acc_vocab), "n_reg_codes": len(bundle.reg_vocab),
-                   **section}
+        section = {**_dataset_fields(bundle, section, "model config"), **section}
     cfg = config_from_dict(ConFormerConfig, section, "model")
     return replace(cfg, ablations=cfg.ablations + tuple(ablate)) if ablate else cfg
 
@@ -123,7 +121,7 @@ def _load_for_inference(args):
     """Checkpoint, dataset and normalization stats for evaluate and predict."""
     params, stats = load_checkpoint(args.checkpoint)
     bundle = load_dataset(args.data)
-    _check_calendar(params.cfg.to_dict(), bundle, "checkpoint")
+    _dataset_fields(bundle, params.cfg.to_dict(), "checkpoint")
     return params, bundle, stats
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import CalendarIndexer
+from .embeddings import CalendarIndexer, day_steps
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, normalize_adjacency
 
@@ -69,9 +69,6 @@ class DatasetBundle:
             raise ValidationError(
                 f"values have {self.values.shape[1]} nodes, graph has "
                 f"{self.graph.n_nodes}")
-        if self.interval_minutes < 1 or 1440 % self.interval_minutes != 0:
-            raise ValidationError(
-                f"interval_minutes must divide 1440, got {self.interval_minutes}")
         CalendarIndexer(self.steps_per_day, self.start_weekday, self.start_slot)
         for name, ids, vocab in (("acc", self.acc_ids, self.acc_vocab),
                                  ("reg", self.reg_ids, self.reg_vocab)):
@@ -88,7 +85,7 @@ class DatasetBundle:
 
     @property
     def steps_per_day(self) -> int:
-        return 1440 // self.interval_minutes
+        return day_steps(self.interval_minutes)
 
 
 @dataclass(frozen=True)
@@ -403,19 +400,19 @@ def load_dataset(data_dir) -> DatasetBundle:
     if missing:
         raise LoadError(f"{meta_path}: missing keys {sorted(missing)}")
 
-    def meta_int(key, lo, hi=math.inf):
+    def meta_int(key, lo=0):
         # type(), not isinstance(), so that JSON true/false are rejected
-        if type(meta[key]) is not int or not lo <= meta[key] <= hi:
-            raise LoadError(f"{meta_path}: {key} must be an integer in [{lo}, {hi}], "
+        if type(meta[key]) is not int or meta[key] < lo:
+            raise LoadError(f"{meta_path}: {key} must be an integer >= {lo}, "
                             f"got {meta[key]!r}")
         return meta[key]
 
-    n_nodes, n_steps = meta_int("n_nodes", 1), meta_int("n_steps", 0)
-    interval = meta_int("interval_minutes", 1)
-    if 1440 % interval != 0:
-        raise LoadError(f"{meta_path}: interval_minutes {interval} does not divide 1440")
-    start_weekday = meta_int("start_weekday", 0, 6)
-    start_slot = meta_int("start_slot", 0, 1440 // interval - 1)
+    n_nodes, n_steps = meta_int("n_nodes", 1), meta_int("n_steps")
+    try:
+        CalendarIndexer(day_steps(meta_int("interval_minutes")), meta_int("start_weekday"),
+                        meta_int("start_slot"))
+    except ValidationError as exc:
+        raise LoadError(f"{meta_path}: {exc}") from exc
     vocabs = {kind: meta[f"{kind}_vocab"] for kind in ("acc", "reg")}
     if not all(isinstance(v, list) and v and all(isinstance(s, str) for s in v)
                for v in vocabs.values()):
@@ -432,19 +429,17 @@ def load_dataset(data_dir) -> DatasetBundle:
     if values is None:
         values = _read_values_rows(paths[VALUES_FILE], n_steps, n_nodes)
 
-    acc_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
-    reg_ids = np.zeros((n_steps, n_nodes), dtype=np.int64)
+    ids = {kind: np.zeros((n_steps, n_nodes), dtype=np.int64) for kind in vocabs}
     ipath = paths[INCIDENTS_FILE]
     for line_no, (t, n, kind, code) in _csv_rows(ipath, INCIDENTS_FILE):
-        if kind not in ("acc", "reg"):
+        if kind not in ids:
             raise _load_error(ipath, line_no, f"kind must be acc or reg, got '{kind}'")
-        _check_cell(ipath, line_no, t, n, acc_ids.shape)
+        _check_cell(ipath, line_no, t, n, values.shape)
         if not (1 <= code < len(vocabs[kind])):
             raise _load_error(
                 ipath, line_no,
                 f"{kind} code {code} outside vocabulary of size {len(vocabs[kind])}")
-        target = acc_ids if kind == "acc" else reg_ids
-        target[t, n] = code
+        ids[kind][t, n] = code
 
     apath = paths[ADJACENCY_FILE]
     edges = tuple(row for _, row in _csv_rows(apath, ADJACENCY_FILE))
@@ -455,14 +450,22 @@ def load_dataset(data_dir) -> DatasetBundle:
 
     try:
         return DatasetBundle(
-            values=values, acc_ids=acc_ids, reg_ids=reg_ids, graph=graph,
-            interval_minutes=interval, start_weekday=start_weekday,
-            start_slot=start_slot, acc_vocab=vocabs["acc"], reg_vocab=vocabs["reg"])
+            values=values, acc_ids=ids["acc"], reg_ids=ids["reg"], graph=graph,
+            interval_minutes=meta["interval_minutes"], start_weekday=meta["start_weekday"],
+            start_slot=meta["start_slot"], acc_vocab=vocabs["acc"], reg_vocab=vocabs["reg"])
     except ValidationError as exc:
         raise LoadError(f"{data_dir}: {exc}") from exc
 
 
 # -- synthetic generator ------------------------------------------------------
+
+
+def check_allocatable(what: str, shape) -> None:
+    """Raise ``ConfigError`` unless numpy can allocate a float64 array of ``shape``."""
+    try:
+        np.empty(shape)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -494,11 +497,9 @@ class SynthConfig:
                               f"expected one of {tuple(GRAPH_BUILDERS)}")
         if self.n_nodes < 1 or self.days < 1:
             raise ConfigError("n_nodes and days must be >= 1")
-        if self.interval_minutes < 1 or 1440 % self.interval_minutes != 0:
-            raise ConfigError(
-                f"interval_minutes must divide 1440, got {self.interval_minutes}")
         try:
-            CalendarIndexer(1440 // self.interval_minutes, self.start_weekday, self.start_slot)
+            CalendarIndexer(day_steps(self.interval_minutes), self.start_weekday,
+                            self.start_slot)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0.0 < self.drop_factor <= 1.0 or not 0.0 < self.cap_fraction <= 1.0:
@@ -514,50 +515,40 @@ class SynthConfig:
             raise ConfigError(f"attenuation must be in [0, 1], got {self.attenuation}")
 
 
-def _ring_graph(n: int) -> GraphSpec:
-    edges = []
-    for i in range(n):
-        j = (i + 1) % n
-        if i != j:
-            edges.append((i, j, 1.0))
-            edges.append((j, i, 1.0))
-    return GraphSpec(n_nodes=n, edges=tuple(dict.fromkeys(edges)))
+def _ring_roads(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    # Two nodes share one road; one node has none.
+    return [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)]
 
 
-def _grid_graph(n: int) -> GraphSpec:
-    rows = int(math.isqrt(n))
+def _grid_roads(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    rows = math.isqrt(n)
     while rows > 1 and n % rows != 0:
         rows -= 1
     cols = n // rows
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges += [(i, i + 1, 1.0), (i + 1, i, 1.0)]
-            if r + 1 < rows:
-                edges += [(i, i + cols, 1.0), (i + cols, i, 1.0)]
-    return GraphSpec(n_nodes=n, edges=tuple(edges))
+    roads = []
+    for i in range(n):
+        if (i + 1) % cols:
+            roads.append((i, i + 1))
+        if i + cols < n:
+            roads.append((i, i + cols))
+    return roads
 
 
-def _random_geometric_graph(n: int, rng: np.random.Generator) -> GraphSpec:
+def _random_geometric_roads(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     pts = rng.random((n, 2))
     radius = 1.3 * math.sqrt(2.0 / max(n, 2))
-    edges = []
+    roads = []
     for i in range(n):
         # One row of distances at a time: an N x N pair array costs peak RSS.
         diff = pts[i] - pts[i + 1:]
-        for j in (i + 1 + np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) <= radius)).tolist():
-            edges += [(i, j, 1.0), (j, i, 1.0)]
-    return GraphSpec(n_nodes=n, edges=tuple(edges))
+        roads += [(i, i + 1 + j) for j in np.flatnonzero(np.hypot(*diff.T) <= radius).tolist()]
+    return roads
 
 
-# Topology name -> builder of an N-node graph from the graph's own generator.
-GRAPH_BUILDERS = {
-    "ring": lambda n, rng: _ring_graph(n),
-    "grid": lambda n, rng: _grid_graph(n),
-    "random-geometric": _random_geometric_graph,
-}
+# Topology name -> the roads of an N-node graph, each a node pair listed once, drawn
+# from the graph's own generator. A road is a unit-weight edge in both directions.
+GRAPH_BUILDERS = {"ring": _ring_roads, "grid": _grid_roads,
+                  "random-geometric": _random_geometric_roads}
 
 
 def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
@@ -599,9 +590,11 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     rng = np.random.default_rng(seed)
     graph_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n = gen.n_nodes
-    steps_per_day = 1440 // gen.interval_minutes
+    steps_per_day = day_steps(gen.interval_minutes)
     t_total = gen.days * steps_per_day
-    graph = GRAPH_BUILDERS[gen.topology](n, graph_rng)
+    check_allocatable(f"synth grid of {t_total} steps by {n} nodes", (t_total, n))
+    roads = GRAPH_BUILDERS[gen.topology](n, graph_rng)
+    graph = GraphSpec(n, tuple((a, b, 1.0) for i, j in roads for a, b in ((i, j), (j, i))))
 
     node_offset = rng.normal(0.0, gen.node_offset_scale, size=n)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n)

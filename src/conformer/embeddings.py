@@ -11,6 +11,13 @@ from . import numerics as nm
 from .errors import ValidationError
 
 
+def day_steps(interval_minutes: int) -> int:
+    """Steps in a day of ``interval_minutes`` minutes each, which must divide the day."""
+    if interval_minutes < 1 or 1440 % interval_minutes != 0:
+        raise ValidationError(f"interval_minutes must divide 1440, got {interval_minutes}")
+    return 1440 // interval_minutes
+
+
 @dataclass(frozen=True)
 class CalendarIndexer:
     """Maps absolute step indices to (day-of-week, time-of-day) indices."""

@@ -18,7 +18,7 @@ from . import numerics as nm
 from .attention import conditional_qkv, fuse, spatial_attention, temporal_attention
 from .conditioning import (ConditionFactors, generate_factors, gln,
                            modulated_residual)
-from .data import NormalizationStats
+from .data import NormalizationStats, check_allocatable
 from .embeddings import CalendarIndexer, embed_all
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
@@ -201,22 +201,15 @@ def param_spec(cfg: ConFormerConfig) -> Iterator[tuple[str, tuple[int, ...], flo
 _FILLS = {"zeros": np.zeros, "ones": np.ones}
 
 
-def _check_allocatable(what: str, shape) -> None:
-    try:
-        np.empty(shape)
-    except (ValueError, MemoryError) as exc:  # numpy refuses the size
-        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
-
-
 def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
     """Fresh parameters; generator output heads start at exactly zero.
 
     Each shape, all found in a model of at most one layer, and then the total
     are tried for allocation before ``n_layers`` layers are listed."""
     for name, shape, _ in param_spec(replace(cfg, n_layers=min(cfg.n_layers, 1))):
-        _check_allocatable(f"parameter '{name}' of shape {shape}", shape)
+        check_allocatable(f"parameter '{name}' of shape {shape}", shape)
     total = count_params(cfg)
-    _check_allocatable(f"{total} parameters", total)
+    check_allocatable(f"{total} parameters", total)
     rng = np.random.default_rng(seed)
     return ConFormerParams(cfg, OrderedDict(
         (name, nm.Tensor(_FILLS[init](shape) if init in _FILLS

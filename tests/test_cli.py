@@ -169,9 +169,13 @@ class TestTrain:
          "steps_per_day=24 differs from model config steps_per_day=288"),
         ({"start_weekday": 3}, "start_weekday=0 differs from model config start_weekday=3"),
         ({"start_slot": 5}, "start_slot=0 differs from model config start_slot=5"),
-    ], ids=["steps", "weekday", "slot"])
+        ({"n_nodes": 5}, "n_nodes=4 differs from model config n_nodes=5"),
+        ({"n_acc_codes": 2}, "n_acc_codes=3 differs from model config n_acc_codes=2"),
+        ({"n_reg_codes": 9}, "n_reg_codes=2 differs from model config n_reg_codes=9"),
+    ], ids=["steps", "weekday", "slot", "nodes", "acc-codes", "reg-codes"])
     def test_calendar_mismatch_fails_before_training(self, tmp_path, tiny_config,
                                                      capsys, calendar, message):
+        # Every model field the dataset fixes, the calendar among them.
         data = synth_dir(tmp_path, tiny_config)
         with open(tiny_config) as fh:
             cfg = json.load(fh)
@@ -274,9 +278,11 @@ class TestEvaluatePredictFlops:
          "steps_per_day=48 differs from checkpoint steps_per_day=24"),
         ({"start_weekday": 2}, "start_weekday=2 differs from checkpoint start_weekday=0"),
         ({"start_slot": 5}, "start_slot=5 differs from checkpoint start_slot=0"),
-    ], ids=["interval", "weekday", "slot"])
+        ({"n_nodes": 5}, "n_nodes=5 differs from checkpoint n_nodes=4"),
+    ], ids=["interval", "weekday", "slot", "nodes"])
     def test_calendar_mismatch_rejected(self, tmp_path, trained, capsys, command,
                                         synth, message):
+        # Every model field the dataset fixes, the calendar among them.
         _, ckpt = trained
         cfg = {"synth": {"n_nodes": 4, "days": 2, "interval_minutes": 60, **synth}}
         path = tmp_path / "other.json"
@@ -385,6 +391,26 @@ def test_any_n_layers_is_counted_or_refused(tmp_path, tiny_config, capsys, comma
         assert code == 1 and "huge.cfmr: parameter enumeration does not match config" in err
 
 
+@pytest.mark.parametrize("synth", [{"days": 10 ** 9}, {"n_nodes": 10 ** 8, "days": 1}],
+                         ids=["days", "n_nodes"])
+def test_synth_grid_too_large_is_refused(tmp_path, tiny_config, capsys, synth):
+    """A [steps, nodes] grid numpy cannot allocate is a ``ConfigError`` raised
+    before the road graph is built."""
+    with open(tiny_config) as fh:
+        run = json.load(fh)
+    run["synth"].update(synth)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(run))
+    with address_space_cap():
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    steps = run["synth"]["days"] * 24  # the fixture's 60-minute interval
+    err = capsys.readouterr().err
+    assert code == 1 and re.search(
+        rf"error: synth grid of {steps} steps by {run['synth']['n_nodes']} nodes cannot "
+        "be allocated", err), err
+    assert not (tmp_path / "out").exists()
+
+
 TRAIN = ["train", "--data", "{data}", "--config", "{config}", "--out", "{out}"]
 SYNTH = ["synth", "--config", "{config}", "--out", "{out}"]
 
@@ -414,6 +440,7 @@ BOUNDARY_PROBES = {
                            "synth incident_rate too large for 2 days: lam value too large"),
     "noise_scale-1e308": ({"synth": {"days": 1, "noise_scale": 1e308}}, SYNTH, 1,
                           r"values\[\d+, \d+\] = inf is not finite"),
+    "k_hops-negative": ({"model": {"k_hops": -1}}, TRAIN, 1, "k_hops must be >= 0, got -1"),
     "flops-start_weekday-9": ({"model": {"start_weekday": 9}},
                               ["flops", "--config", "{config}", "--edges", "10"], 1,
                               "start_weekday must be in 0..6, got 9"),

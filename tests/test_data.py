@@ -185,8 +185,12 @@ class TestRoundTrip:
         ("values.csv", 4, b"1,0", "expected 3 fields, got 2"),
         ("incidents.csv", 2, b"5,1,acc,1,1", "expected 4 fields, got 5"),
         ("adjacency.csv", 3, b"", "expected 3 fields, got 0"),
+        ("incidents.csv", 2, b"5,1,xyz,1", "kind must be acc or reg, got 'xyz'"),
+        ("incidents.csv", 2, b"5,1,acc,7", "acc code 7 outside vocabulary of size 2"),
+        ("meta.json", 2, b"  x", "invalid JSON: Expecting property name enclosed in double"),
     ], ids=["values-utf8", "incidents-utf8", "values-field-limit", "values-fields",
-            "incidents-fields", "adjacency-fields"])
+            "incidents-fields", "adjacency-fields", "incidents-kind", "incidents-code",
+            "meta-json"])
     def test_bad_bytes_name_file_and_line(self, tmp_path, name, line_no, text, error):
         save_dataset(tiny_bundle(), tmp_path)
         path = tmp_path / name
@@ -534,7 +538,8 @@ class TestSynthGenerate:
 
     def test_grid_of_prime_size_is_a_line(self):
         line = {(i, i + 1, 1.0) for i in range(6)} | {(i + 1, i, 1.0) for i in range(6)}
-        assert set(data._grid_graph(7).edges) == line
+        gen = SynthConfig(n_nodes=7, days=1, topology="grid", incident_rate=0.0)
+        assert set(synth_generate(gen, seed=0).graph.edges) == line
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigError, match="topology"):

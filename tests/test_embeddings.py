@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conformer import numerics as nm
-from conformer.embeddings import CalendarIndexer, embed_all, time_indices
+from conformer.embeddings import CalendarIndexer, day_steps, embed_all, time_indices
 from conformer.errors import DimensionError, ValidationError
 from conformer.model import ConFormerConfig, init_params
 from oracles import finite_difference_gradient, index_time
@@ -47,8 +47,12 @@ class TestIndexTime:
             assert (dow[i], tod[i]) == index_time(t, cal)
 
     def test_bad_interval_rejected(self):
-        # The 1440-divisibility rule on interval_minutes lives with the
-        # dataset and synth configs; the indexer checks what it is given.
+        # day_steps holds the rule that the interval divides the day; the
+        # indexer checks the steps it is given.
+        assert (day_steps(1), day_steps(5), day_steps(1440)) == (1440, 288, 1)
+        for minutes in (0, -5, 7, 1441):
+            with pytest.raises(ValidationError, match=f"divide 1440, got {minutes}"):
+                day_steps(minutes)
         for kw in (dict(steps_per_day=0), dict(steps_per_day=-288),
                    dict(steps_per_day=288, start_weekday=7),
                    dict(steps_per_day=288, start_slot=288)):

@@ -340,12 +340,15 @@ class TestCheckpoint:
         path = tmp_path / "c.cfmr"
         save_checkpoint(path, init_params(cfg, seed=0), STATS, 1)
         raw = path.read_bytes()
-        # cut inside the parameter data, then twice inside the length field
-        for cut in (raw[:-16], raw[:8], raw[:12]):
+        # cut inside the parameter data, then twice inside the length field;
+        # then one byte too many
+        for cut, message in ((raw[:-16], "truncated"), (raw[:8], "truncated"),
+                             (raw[:12], "truncated"),
+                             (raw + b"\0", "trailing bytes after parameter data")):
             path.write_bytes(cut)
-            with pytest.raises(LoadError, match=f"{path.name}.*truncated"):
+            with pytest.raises(LoadError, match=f"{path.name}.*{message}"):
                 load_checkpoint(path)
-        for header in ({"params": []}, {"config": cfg.to_dict()},
+        for header in ({"params": []}, {"config": cfg.to_dict()}, {"config": [1, 2]},
                        {"config": cfg.to_dict(), "params": [], "extra": [1.5]},
                        {"config": {**cfg.to_dict(), "start_slot": 500}, "params": [],
                         "extra": {"norm_mean": 1.5, "norm_std": 2.0}}):
