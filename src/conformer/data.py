@@ -17,6 +17,7 @@ import numpy as np
 from .embeddings import CalendarIndexer, day_steps
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, normalize_adjacency
+from .numerics import check_allocatable
 
 VALUES_FILE = "values.csv"
 INCIDENTS_FILE = "incidents.csv"
@@ -458,14 +459,6 @@ def load_dataset(data_dir) -> DatasetBundle:
 
 
 # -- synthetic generator ------------------------------------------------------
-
-
-def check_allocatable(what: str, shape) -> None:
-    """Raise ``ConfigError`` unless numpy can allocate a float64 array of ``shape``."""
-    try:
-        np.empty(shape)
-    except (ValueError, MemoryError) as exc:  # numpy refuses the size
-        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ class GraphSpec:
 
     def adjacency(self) -> np.ndarray:
         src, dst, weight = self._arrays
-        a = np.zeros((self.n_nodes, self.n_nodes))
+        n = self.n_nodes
+        nm.check_allocatable(f"adjacency of {n} nodes", (n, n))
+        a = np.zeros((n, n))
         a[src, dst] = weight
         return a
 

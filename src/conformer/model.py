@@ -18,7 +18,7 @@ from . import numerics as nm
 from .attention import conditional_qkv, fuse, spatial_attention, temporal_attention
 from .conditioning import (ConditionFactors, generate_factors, gln,
                            modulated_residual)
-from .data import NormalizationStats, check_allocatable
+from .data import NormalizationStats
 from .embeddings import CalendarIndexer, embed_all
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
 from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
@@ -207,9 +207,9 @@ def init_params(cfg: ConFormerConfig, seed: int = 0) -> ConFormerParams:
     Each shape, all found in a model of at most one layer, and then the total
     are tried for allocation before ``n_layers`` layers are listed."""
     for name, shape, _ in param_spec(replace(cfg, n_layers=min(cfg.n_layers, 1))):
-        check_allocatable(f"parameter '{name}' of shape {shape}", shape)
+        nm.check_allocatable(f"parameter '{name}' of shape {shape}", shape)
     total = count_params(cfg)
-    check_allocatable(f"{total} parameters", total)
+    nm.check_allocatable(f"{total} parameters", total)
     rng = np.random.default_rng(seed)
     return ConFormerParams(cfg, OrderedDict(
         (name, nm.Tensor(_FILLS[init](shape) if init in _FILLS

@@ -12,17 +12,17 @@ skip the check.
 ``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
 tape instead of two, with the gradients of the matmul-plus-add composite.
 
-``softmax_last_axis(x, scale)`` is ``softmax(x * scale)`` in one owned
-buffer, forward and VJP, with the op order of the ``mul``-then-softmax
-composite. ``attention_weights(q, k, scale)`` is that softmax of
-``q @ kᵀ`` in the product's own buffer, so attention keeps one
-``[.., N, N]`` array per call, on the tape and at peak, instead of two.
-``gelu`` likewise works in one buffer per pass.
+``attention(q, k, v, n_heads, axis)`` is multi-head softmax attention over
+the node or the time axis as one node, bitwise equal to the chain of head
+split, ``matmul``, ``softmax_last_axis``, ``matmul`` and head merge. The
+scores are scaled and softmaxed in their own buffer, so a call keeps one
+``[.., L, L]`` array per head, on the tape and at peak. ``softmax_last_axis``
+and ``gelu`` likewise work in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
 parameter, so the arithmetic primitives, ``matmul``, ``affine`` and
-``attention_weights`` give it no gradient (``None`` in its VJP slot) instead
-of a full-size product or reduction.
+``attention`` give it no gradient (``None`` in its VJP slot) instead of a
+full-size product or reduction.
 
 ``backward`` runs a node's VJP once a gradient has reached it, and keeps a
 parent's gradient only when the parent is an interior node or a requested
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, NumericsError
+from .errors import ConfigError, ContractError, DimensionError, NumericsError
 
 Array = np.ndarray
 
@@ -66,6 +66,14 @@ def _check_finite(arr: Array, op: str, inputs: tuple = ()) -> Array:
             source += f" from inputs {', '.join(shapes[:-1])} and {shapes[-1]}"
         raise NumericsError(f"non-finite value produced by {source}")
     return arr
+
+
+def check_allocatable(what: str, shape) -> None:
+    """Raise ``ConfigError`` unless numpy can allocate a float64 array of ``shape``."""
+    try:
+        np.empty(shape)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
 
 
 _TAPE = threading.local()
@@ -405,53 +413,73 @@ def _softmax_vjp(grad: Array, out: Array, scale: float) -> Array:
     return g
 
 
-def softmax_last_axis(x, scale: float = 1.0) -> Tensor:
-    """Numerically stable ``softmax(x * scale)`` over the last axis.
-
-    The scaling, max-shift, ``exp`` and division run in one owned buffer;
-    the VJP reuses one buffer and applies ``scale`` last. Both are bitwise
-    equal to ``softmax_last_axis(x * scale)``.
-    """
+def softmax_last_axis(x) -> Tensor:
+    """Numerically stable softmax over the last axis, in one owned buffer."""
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_last_axis: empty last axis in shape {x.shape}")
-    out_data = _softmax_in_place(x.data * scale)
+    out_data = _softmax_in_place(x.data.copy())
 
     def vjp(grad: Array):
-        return (_softmax_vjp(grad, out_data, scale),)
+        return (_softmax_vjp(grad, out_data, 1.0),)
 
     return _node(out_data, (x,), vjp, "softmax")
 
 
-def attention_weights(q, k, scale: float) -> Tensor:
-    """``softmax_last_axis(matmul(q, kᵀ), scale)`` as one node, bitwise.
+def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
+    """Multi-head softmax attention over ``axis`` of ``[..., T, N, D]`` inputs.
 
-    ``q`` is ``[..., Lq, d]`` and ``k`` is ``[..., Lk, d]``; the weights are
-    ``[..., Lq, Lk]``. The product is computed once and then scaled and
-    softmaxed in that buffer, so a call holds one ``[..., Lq, Lk]`` array
-    where the composite holds two. The product is checked as ``'matmul'``
-    before the softmax, which would turn a ``-inf`` score into a finite 0
-    weight. The VJP is the softmax VJP followed by the ``matmul`` VJP. A
-    plain-array operand gets no gradient.
+    ``axis`` is -2 to attend over nodes, per timestep, or -3 over time, per
+    node; the output has the inputs' shape. Head ``h`` computes
+    ``softmax(q kᵀ / sqrt(d_head)) v`` on its ``d_head = D / n_heads``
+    columns, and the heads' outputs are concatenated.
+
+    One node, bitwise equal to the chain of head split, ``matmul``,
+    ``softmax_last_axis``, ``matmul`` and head merge, forward and VJP. The
+    scores are scaled and softmaxed in their own buffer, so a call holds one
+    ``[..., H, L, L]`` array. They are checked as ``'matmul'`` before the
+    softmax, which would turn a ``-inf`` score into a finite 0 weight; the
+    weights and the product with v are checked too. A plain-array operand
+    gets no gradient.
     """
-    const_q, const_k = not isinstance(q, Tensor), not isinstance(k, Tensor)
-    q, k = as_tensor(q), as_tensor(k)
-    if (q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]
-            or not _broadcastable(q.shape[:-2], k.shape[:-2])):
-        raise DimensionError(f"attention_weights: q {q.shape} and k {k.shape} do not pair")
-    if k.shape[-2] < 1:
-        raise DimensionError(f"attention_weights: no keys in shape {k.shape}")
-    k_t = np.swapaxes(k.data, -1, -2)
-    out_data = _check_finite(q.data @ k_t, "matmul", (q, k))
-    out_data *= scale
-    _softmax_in_place(out_data)
+    const_q, const_k, const_v = (not isinstance(t, Tensor) for t in (q, k, v))
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    if q.ndim < 3:
+        raise DimensionError(f"attention expects [..., T, N, D], got {q.shape}")
+    if axis not in (-2, -3):
+        raise ContractError(f"attention: axis must be -2 (nodes) or -3 (time), got {axis}")
+    d = q.shape[-1]
+    if d % n_heads != 0:
+        raise DimensionError(f"feature width {d} not divisible by {n_heads} heads")
+    # ``heads`` gives views with the strides the chain gave BLAS. ``merge``
+    # copies into the chain's layout as well, [.., N, T, D] in memory for
+    # time, which fixes the summation order of the reductions downstream.
+    moved = np.moveaxis(q.data, axis, -2).shape
+    split = moved[:-1] + (n_heads, d // n_heads)
+
+    def heads(x: Array) -> Array:
+        return np.swapaxes(np.moveaxis(x, axis, -2).reshape(split), -3, -2)
+
+    def merge(x: Array) -> Array:
+        return np.moveaxis(np.swapaxes(x, -3, -2).reshape(moved), -2, axis)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    k_t = np.swapaxes(kh, -1, -2)
+    scale = 1.0 / np.sqrt(d // n_heads)
+    w = _check_finite(qh @ k_t, "matmul", (q, k))
+    w *= scale
+    _check_finite(_softmax_in_place(w), "softmax", (q, k))
 
     def vjp(grad: Array):
-        g_q, g_kt = _matmul_vjp(_softmax_vjp(grad, out_data, scale), q.data, k_t,
-                                const_q, const_k)
-        return g_q, None if g_kt is None else np.swapaxes(g_kt, -1, -2)
+        g_w, g_v = _matmul_vjp(heads(grad), w, vh, False, const_v)
+        g_q, g_kt = _matmul_vjp(_softmax_vjp(g_w, w, scale), qh, k_t, const_q, const_k)
+        g_k = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
+        return tuple(None if g is None else merge(g) for g in (g_q, g_k, g_v))
 
-    return _node(out_data, (q, k), vjp, "softmax")
+    # The last arithmetic step is the product with v.
+    return _node(merge(w @ vh), (q, k, v), vjp, "matmul")
 
 
 def concat_last_axis(parts: Iterable) -> Tensor:

@@ -2,8 +2,8 @@
 
 Nothing under ``src/conformer`` calls these; each is the oracle for a fast
 path there: ``index_time`` for the vectorized ``embeddings.time_indices``,
-and ``finite_difference_gradient`` for every VJP that ``numerics.backward``
-runs.
+``reference_attention`` for ``numerics.attention``, and
+``finite_difference_gradient`` for every VJP that ``numerics.backward`` runs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,21 @@ def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:
     tod = total % cal.steps_per_day
     dow = (cal.start_weekday + total // cal.steps_per_day) % 7
     return dow, tod
+
+
+def reference_attention(q, k, v, n_heads: int, axis: int) -> np.ndarray:
+    """Multi-head softmax attention over ``axis`` (-2 nodes, -3 time) of
+    ``[..., T, N, D]`` arrays, one head's column slice at a time."""
+    q, k, v = (np.moveaxis(np.asarray(t, dtype=np.float64), axis, -2) for t in (q, k, v))
+    d_head = q.shape[-1] // n_heads
+    out = np.empty_like(q)
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        scores = np.einsum("...id,...jd->...ij", q[..., cols], k[..., cols]) / np.sqrt(d_head)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out[..., cols] = np.einsum("...ij,...jd->...id", weights, v[..., cols])
+    return np.moveaxis(out, -2, axis)
 
 
 def finite_difference_gradient(fn: Callable[[np.ndarray], float], x0: np.ndarray,

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformer import numerics as nm
 from conformer.attention import (conditional_qkv, fuse, spatial_attention,
                                  temporal_attention)
 from conformer.errors import DimensionError
+from oracles import reference_attention
 
 
 def make_projections(rng, d_model, cond_width, zero_cond_cols=False):
@@ -161,19 +163,19 @@ def _temporal_composite(q, k, v, n_heads):
     return swap(_attend_composite(swap(q), swap(k), swap(v), n_heads))
 
 
-@pytest.mark.parametrize("attend, seen", [
-    (spatial_attention, r"\(3, 2, 4\), \(3, 2, 4\), \(3, 5, 4\)"),
-    # temporal attention checks after moving time second-to-last
-    (temporal_attention, r"\(2, 3, 4\), \(2, 3, 4\), \(5, 3, 4\)"),
-], ids=["spatial", "temporal"])
-def test_qkv_shape_mismatch(attend, seen):
+@pytest.mark.parametrize("attend", [spatial_attention, temporal_attention],
+                         ids=["spatial", "temporal"])
+def test_qkv_shape_mismatch(attend):
     q, k, v = (nm.Tensor(np.zeros(shape)) for shape in ((3, 2, 4), (3, 2, 4), (3, 5, 4)))
-    with pytest.raises(DimensionError, match="q/k/v shapes differ: " + seen):
+    with pytest.raises(DimensionError,
+                       match=r"q/k/v shapes differ: \(3, 2, 4\), \(3, 2, 4\), \(3, 5, 4\)"):
         attend(q, k, v, n_heads=2)
 
 
 class TestScaledSoftmaxAttention:
-    """The folded scale is bitwise equal to the mul-then-softmax composite."""
+    """The attention node is bitwise equal to the composite, and its output
+    and gradients keep the composite's memory layout, which decides the
+    summation order of the reductions downstream."""
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("layout", ["spatial", "temporal"])
@@ -181,16 +183,32 @@ class TestScaledSoftmaxAttention:
         fast, reference = {"spatial": (spatial_attention, _attend_composite),
                            "temporal": (temporal_attention, _temporal_composite)}[layout]
         rng = np.random.default_rng(11 + n_heads)
-        qkv = [rng.normal(size=(2, 3, 5, 8)) for _ in range(3)]
-        weights = rng.normal(size=(2, 3, 5, 8))
+        for shape in ((5, 3, 8), (2, 3, 5, 8)):
+            qkv = [rng.normal(size=shape) for _ in range(3)]
+            weights = rng.normal(size=shape)
 
-        def run(attend):
-            params = {name: nm.Tensor(a) for name, a in zip("qkv", qkv)}
-            out = attend(*params.values(), n_heads)
-            grads = nm.backward(nm.tsum(out * weights), params)
-            return [out.data.tobytes()] + [grads[n].tobytes() for n in "qkv"]
+            def run(attend):
+                params = {name: nm.Tensor(a) for name, a in zip("qkv", qkv)}
+                out = attend(*params.values(), n_heads)
+                grads = nm.backward(nm.tsum(out * weights), params)
+                arrays = [out.data] + [grads[n] for n in "qkv"]
+                return [(a.tobytes(), a.strides) for a in arrays]
 
-        assert run(fast) == run(reference)
+            assert run(fast) == run(reference), shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=1),
+       t=st.integers(1, 6), n=st.integers(1, 6), d=st.sampled_from([4, 8]),
+       axis=st.sampled_from([-2, -3]))
+def test_attention_matches_oracle(data, lead, t, n, d, axis):
+    """``nm.attention`` against the plain-numpy oracle, on 3-d and 4-d inputs."""
+    n_heads = data.draw(st.sampled_from([h for h in (1, 2, 4, 8) if d % h == 0]))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=tuple(lead) + (t, n, d)) for _ in range(3))
+    out = nm.attention(nm.Tensor(q), nm.Tensor(k), nm.Tensor(v), n_heads, axis).data
+    assert nm.relative_error(out, reference_attention(q, k, v, n_heads, axis)) <= 1e-12
 
 
 class TestAttentionMemory:

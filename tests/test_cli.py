@@ -411,6 +411,19 @@ def test_synth_grid_too_large_is_refused(tmp_path, tiny_config, capsys, synth):
     assert not (tmp_path / "out").exists()
 
 
+def test_adjacency_too_large_is_refused(tmp_path, capsys):
+    """An [N, N] operator numpy cannot allocate is a ``ConfigError`` naming
+    the node count, raised before ``synth`` writes anything."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"synth": {"n_nodes": 60000, "days": 1,
+                                            "interval_minutes": 1440, "incident_rate": 1.0}}))
+    with address_space_cap():
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and "error: adjacency of 60000 nodes cannot be allocated" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 TRAIN = ["train", "--data", "{data}", "--config", "{config}", "--out", "{out}"]
 SYNTH = ["synth", "--config", "{config}", "--out", "{out}"]
 

@@ -71,60 +71,57 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / np.sqrt(3.0), 2.5])
     def test_matches_reference_formula_bitwise(self, scale):
-        # The formula of the mul-then-softmax composite, written out in numpy.
+        # The reference formula written out in numpy, on inputs of several
+        # magnitudes.
         rng = np.random.default_rng(21)
-        x, grad = rng.normal(scale=3.0, size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
-        scaled = x * np.float64(scale)
-        e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+        x = rng.normal(scale=3.0, size=(2, 3, 7)) * np.float64(scale)
+        grad = rng.normal(size=(2, 3, 7))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
         out = e / e.sum(axis=-1, keepdims=True)
         inner = (grad * out).sum(axis=-1, keepdims=True)
-        expected_grad = (out * (grad - inner)) * np.float64(scale)
 
-        node = nm.softmax_last_axis(nm.Tensor(x), scale)
+        node = nm.softmax_last_axis(nm.Tensor(x))
         assert node.data.tobytes() == out.tobytes()
-        assert node._vjp(grad)[0].tobytes() == expected_grad.tobytes()
+        assert node._vjp(grad)[0].tobytes() == (out * (grad - inner)).tobytes()
 
 
-class TestAttentionWeights:
-    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
-    def test_matches_matmul_softmax_bitwise(self, scale):
-        rng = np.random.default_rng(23)
-        q, k = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 6, 4))
-        weights = rng.normal(size=(2, 3, 5, 6))
-
-        def run(build):
-            params = {"q": nm.Tensor(q), "k": nm.Tensor(k)}
-            out = build(*params.values())
-            grads = nm.backward(nm.tsum(out * weights), params)
-            return [out.data.tobytes()] + [grads[n].tobytes() for n in params]
-
-        assert run(lambda q, k: nm.attention_weights(q, k, scale)) == run(
-            lambda q, k: nm.softmax_last_axis(nm.matmul(q, nm.moveaxis(k, -1, -2)), scale))
-
-    @pytest.mark.parametrize("k_rows", [[[1e200], [1.0], [1.0]], [[-1e200], [1.0], [1.0]]],
-                             ids=["+inf", "-inf"])
-    def test_overflowing_score_named_as_matmul(self, k_rows):
+class TestAttention:
+    @pytest.mark.parametrize("k_first", [1e200, -1e200], ids=["+inf", "-inf"])
+    def test_overflowing_score_named_as_matmul(self, k_first):
         # softmax would turn a -inf score into a finite 0 weight
-        q, k = nm.Tensor([[1e200], [1.0]]), nm.Tensor(k_rows)
+        q = nm.Tensor([[[1e200], [1.0], [1.0]]])
+        k = nm.Tensor([[[k_first], [1.0], [1.0]]])
         with pytest.raises(NumericsError,
-                           match=r"'matmul' from inputs \(2, 1\) and \(3, 1\)$"), \
+                           match=r"'matmul' from inputs \(1, 3, 1\) and \(1, 3, 1\)$"), \
                 np.errstate(over="ignore"):
-            nm.attention_weights(q, k, 0.5)
+            nm.attention(q, k, nm.Tensor(np.ones((1, 3, 1))), 1, axis=-2)
 
     def test_shapes_checked(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\) and k \(4, 2\)"):
-            nm.attention_weights(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((4, 2))), 1.0)
-        with pytest.raises(DimensionError, match="no keys"):
-            nm.attention_weights(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((0, 3))), 1.0)
+        def attend(shapes, n_heads=2, axis=-2):
+            nm.attention(*(nm.Tensor(np.zeros(s)) for s in shapes), n_heads, axis)
+
+        with pytest.raises(DimensionError,
+                           match=r"shapes differ: \(2, 3, 4\), \(2, 3, 4\), \(2, 5, 4\)"):
+            attend([(2, 3, 4), (2, 3, 4), (2, 5, 4)])
+        with pytest.raises(DimensionError, match="width 6 not divisible by 4 heads"):
+            attend([(2, 3, 6)] * 3, n_heads=4)
+        with pytest.raises(DimensionError, match=r"\[\.\.\., T, N, D\], got \(3, 4\)"):
+            attend([(3, 4)] * 3)
+        with pytest.raises(ContractError, match="axis must be -2 .* or -3 .*, got -1"):
+            attend([(2, 3, 4)] * 3, axis=-1)
 
     def test_untaped_has_no_parents(self):
-        q, k = nm.Tensor(np.ones((2, 3))), nm.Tensor(np.zeros((4, 3)))
-        with nm.no_tape():
-            w = nm.attention_weights(q, k, 1.0)
-        assert w._parents == ()
-        assert np.array_equal(w.data, np.full((2, 4), 0.25))
-        with pytest.raises(ContractError, match="no_tape"):
-            nm.backward(nm.tsum(w * 2.0), {"q": q, "k": k})
+        # Equal scores give equal weights: each output is v's mean over ``axis``.
+        q, k = nm.Tensor(np.ones((2, 3, 4))), nm.Tensor(np.zeros((2, 3, 4)))
+        v = nm.Tensor(np.arange(24.0).reshape(2, 3, 4))
+        for axis in (-2, -3):
+            with nm.no_tape():
+                out = nm.attention(q, k, v, 2, axis)
+            assert out._parents == ()
+            expected = np.broadcast_to(v.data.mean(axis=axis, keepdims=True), v.shape)
+            assert np.allclose(out.data, expected, rtol=0.0, atol=1e-13)
+            with pytest.raises(ContractError, match="no_tape"):
+                nm.backward(nm.tsum(out * 2.0), {"q": q, "k": k, "v": v})
 
 
 class TestGelu:
@@ -339,8 +336,11 @@ class TestBackward:
         assert nm.matmul(m.data, w)._vjp(np.ones((1, 1)))[0] is None
         assert nm.matmul(m, w.data)._vjp(np.ones((1, 1)))[1] is None
         assert nm.affine(m.data, w, np.zeros(1))._vjp(np.ones((1, 1)))[::2] == (None, None)
-        assert nm.attention_weights(m.data, m, 1.0)._vjp(np.ones((1, 1)))[0] is None
-        assert nm.attention_weights(m, m.data, 1.0)._vjp(np.ones((1, 1)))[1] is None
+        x = nm.Tensor(np.ones((1, 2, 2)))
+        for i in range(3):
+            qkv = [x.data if j == i else x for j in range(3)]
+            grads = nm.attention(*qkv, 1, axis=-2)._vjp(np.ones((1, 2, 2)))
+            assert [g is None for g in grads] == [j == i for j in range(3)]
         # A Tensor operand still gets its gradient, and so does ``p``.
         g_p, g_t = nm.mul(p, nm.Tensor(arr))._vjp(grad)
         assert np.array_equal(g_p, grad * arr) and np.array_equal(g_t, grad * p.data)
@@ -505,14 +505,12 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(16)
         a = rng.uniform(-4, 4, size=(3, 5))
         _fd_check(nm.softmax_last_axis, [a], seed=12)
-        _fd_check(lambda x: nm.softmax_last_axis(x, 0.37), [a], seed=19)
-        _fd_check(lambda x: nm.softmax_last_axis(x, 2.5), [a], seed=20)
 
-    def test_attention_weights(self):
+    def test_attention(self):
         rng = np.random.default_rng(21)
-        q, k = rng.uniform(-2, 2, size=(2, 3, 4)), rng.uniform(-2, 2, size=(2, 5, 4))
-        for scale, seed in ((1.0, 21), (0.37, 22), (2.5, 23)):
-            _fd_check(lambda x, y: nm.attention_weights(x, y, scale), [q, k], seed=seed)
+        qkv = [rng.uniform(-2, 2, size=(2, 3, 4)) for _ in range(3)]
+        for axis, seed in ((-2, 22), (-3, 23)):
+            _fd_check(lambda q, k, v: nm.attention(q, k, v, 2, axis), qkv, seed=seed)
 
     def test_concat_slice(self):
         rng = np.random.default_rng(17)
