@@ -47,6 +47,7 @@ class GraphSpec:
         columns = tuple(zip(*self.edges)) or ((), (), ())
         arrays = tuple(np.array(col, dtype=dtype) for col, dtype in
                        zip(columns, (np.int64, np.int64, np.float64)))
+        arrays[2][:] += 0.0  # a -0.0 weight becomes +0.0, as in ``A + I``
         for array in arrays:
             array.setflags(write=False)
         object.__setattr__(self, "_arrays", arrays)
@@ -61,37 +62,30 @@ class GraphSpec:
 
 
 class PropagationOperator:
-    """Row-normalized N x N propagation matrix with entries in [0, 1].
+    """``D^-1 (A + I)``, built in the one ``[N, N]`` buffer of ``g.adjacency()``.
 
-    Each row sums to 1, or to 0 for a node that sends nothing; only an
-    operator built directly has such a row.
+    The self-loops make every degree at least 1, so each row sums to 1 with
+    entries in [0, 1]. A node whose weights sum past float64 is refused.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionError(f"operator must be square, got {matrix.shape}")
-        if matrix.min() < 0.0 or matrix.max() > 1.0:
-            raise ValidationError("operator entries must lie in [0, 1]")
-        row_sums = matrix.sum(axis=1)
-        ok = np.isclose(row_sums, 1.0, rtol=0.0, atol=1e-12) | (row_sums == 0.0)
-        if not ok.all():
-            raise ValidationError("operator rows must sum to 1 (or 0 for isolated nodes)")
-        self.matrix = matrix
-        self.matrix.setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, g: GraphSpec):
+        if not isinstance(g, GraphSpec):
+            raise ContractError(f"an operator is built from a GraphSpec, got {type(g).__name__}")
+        a = g.adjacency()
+        a.flat[::g.n_nodes + 1] += 1.0
+        with np.errstate(over="ignore"):
+            degree = a.sum(axis=1, keepdims=True)
+        overflow = np.flatnonzero(~np.isfinite(degree))
+        if overflow.size:
+            raise ValidationError(f"edge weights of node {overflow[0]} sum past the float64 range")
+        a /= degree
+        a.setflags(write=False)
+        self.matrix, self.n_nodes = a, g.n_nodes
 
 
 def normalize_adjacency(g: GraphSpec) -> PropagationOperator:
-    """Build ``D^-1 (A + I)``, the random-walk propagation operator.
-
-    The self-loops make every degree at least 1, so every row sums to 1.
-    """
-    a = g.adjacency() + np.eye(g.n_nodes)
-    return PropagationOperator(a / a.sum(axis=1, keepdims=True))
+    """The propagation operator ``D^-1 (A + I)`` of ``g``."""
+    return PropagationOperator(g)
 
 
 def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:

@@ -16,7 +16,8 @@ tape instead of two, with the gradients of the matmul-plus-add composite.
 the node or the time axis as one node, bitwise equal to the chain of head
 split, ``matmul``, ``softmax_last_axis``, ``matmul`` and head merge. The
 scores are scaled and softmaxed in their own buffer, so a call keeps one
-``[.., L, L]`` array per head, on the tape and at peak. ``softmax_last_axis``
+``[.., L, L]`` array per head, on the tape and at peak. Its weights, a softmax
+of checked scores, lie in [0, 1] and are not checked. ``softmax_last_axis``
 and ``gelu`` likewise work in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
@@ -395,8 +396,10 @@ def gelu(x) -> Tensor:
 
 def _softmax_in_place(scaled: Array) -> Array:
     """Softmax over the last axis of ``scaled``, in place: max-shift, ``exp``
-    and division, the op order of the reference formula."""
-    scaled -= scaled.max(axis=-1, keepdims=True)
+    and division, the op order of the reference formula. Finite input gives
+    weights in [0, 1]: a shift past float64 is ``-inf``, whose ``exp`` is 0."""
+    with np.errstate(over="ignore"):
+        scaled -= scaled.max(axis=-1, keepdims=True)
     np.exp(scaled, out=scaled)
     scaled /= scaled.sum(axis=-1, keepdims=True)
     return scaled
@@ -438,9 +441,9 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     ``softmax_last_axis``, ``matmul`` and head merge, forward and VJP. The
     scores are scaled and softmaxed in their own buffer, so a call holds one
     ``[..., H, L, L]`` array. They are checked as ``'matmul'`` before the
-    softmax, which would turn a ``-inf`` score into a finite 0 weight; the
-    weights and the product with v are checked too. A plain-array operand
-    gets no gradient.
+    softmax, which would turn a ``-inf`` score into a finite 0 weight. The
+    weights of finite scores lie in [0, 1] and need no check; the product
+    with v is checked. A plain-array operand gets no gradient.
     """
     const_q, const_k, const_v = (not isinstance(t, Tensor) for t in (q, k, v))
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -470,7 +473,7 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     scale = 1.0 / np.sqrt(d // n_heads)
     w = _check_finite(qh @ k_t, "matmul", (q, k))
     w *= scale
-    _check_finite(_softmax_in_place(w), "softmax", (q, k))
+    _softmax_in_place(w)
 
     def vjp(grad: Array):
         g_w, g_v = _matmul_vjp(heads(grad), w, vh, False, const_v)

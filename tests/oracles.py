@@ -2,8 +2,9 @@
 
 Nothing under ``src/conformer`` calls these; each is the oracle for a fast
 path there: ``index_time`` for the vectorized ``embeddings.time_indices``,
-``reference_attention`` for ``numerics.attention``, and
-``finite_difference_gradient`` for every VJP that ``numerics.backward`` runs.
+``reference_attention`` for ``numerics.attention``, ``reference_operator``
+for ``graph.normalize_adjacency``, and ``finite_difference_gradient`` for
+every VJP that ``numerics.backward`` runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from conformer.embeddings import CalendarIndexer
+from conformer.graph import GraphSpec
 
 
 def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:
@@ -36,6 +38,15 @@ def reference_attention(q, k, v, n_heads: int, axis: int) -> np.ndarray:
         weights /= weights.sum(axis=-1, keepdims=True)
         out[..., cols] = np.einsum("...ij,...jd->...id", weights, v[..., cols])
     return np.moveaxis(out, -2, axis)
+
+
+def reference_operator(g: GraphSpec) -> np.ndarray:
+    """``D^-1 (A + I)`` from the edge list: ``(A + I) / rowsum``."""
+    a = np.zeros((g.n_nodes, g.n_nodes))
+    for src, dst, weight in g.edges:
+        a[src, dst] = weight
+    a = a + np.eye(g.n_nodes)
+    return a / a.sum(axis=1, keepdims=True)
 
 
 def finite_difference_gradient(fn: Callable[[np.ndarray], float], x0: np.ndarray,

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conformer import numerics as nm
 from conformer.attention import (conditional_qkv, fuse, spatial_attention,
@@ -209,6 +210,20 @@ def test_attention_matches_oracle(data, lead, t, n, d, axis):
     q, k, v = (rng.normal(size=tuple(lead) + (t, n, d)) for _ in range(3))
     out = nm.attention(nm.Tensor(q), nm.Tensor(k), nm.Tensor(v), n_heads, axis).data
     assert nm.relative_error(out, reference_attention(q, k, v, n_heads, axis)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=arrays(np.float64, array_shapes(max_dims=2, max_side=8),
+                     elements=st.one_of(st.sampled_from([-1e308, 0.0, 1e308]),
+                                        st.floats(-1e308, 1e308))))
+@example(scores=np.array([[1e308, -1e308]]))
+def test_softmax_of_finite_scores_is_finite_and_bounded(scores):
+    """Why ``nm.attention`` checks its scores but not its weights: a
+    max-shifted softmax of finite rows lies in [0, 1], even where the shift
+    overflows."""
+    weights = nm._softmax_in_place(scores)
+    assert np.all(np.isfinite(weights))
+    assert weights.min() >= 0.0 and weights.max() <= 1.0
 
 
 class TestAttentionMemory:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from conformer.cli import build_parser, main, resolve_model_config
 from conformer.data import chronological_split, load_dataset, save_dataset
 from conformer.errors import ConfigError, ConformerError, LoadError
+from conformer.graph import GraphSpec, normalize_adjacency
 from conformer.model import (ConFormerConfig, count_params, estimate_flops, load_checkpoint,
                              param_spec)
 from conformer.trainer import evaluate_historical_inertia
@@ -66,6 +68,11 @@ def synth_dir(tmp_path, tiny_config, name="data", seed=1):
     assert main(["synth", "--config", tiny_config, "--seed", str(seed),
                  "--out", out]) == 0
     return out
+
+
+# Node 0's degree 1 + 1e308 + 1e308 overflows float64.
+OVERFLOW_ADJACENCY = "src,dst,weight\n0,1,1e308\n0,2,1e308\n1,2,1.0\n"
+OVERFLOW_ERROR = "error: edge weights of node 0 sum past the float64 range"
 
 
 class TestSynth:
@@ -249,6 +256,20 @@ class TestEvaluatePredictFlops:
         assert not os.path.exists(tmp_path / "p")
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_overflowing_node_weights_refused(self, tmp_path, trained, capsys, command):
+        data, ckpt = trained
+        with open(os.path.join(data, "adjacency.csv"), "w") as fh:
+            fh.write(OVERFLOW_ADJACENCY)
+        capsys.readouterr()
+        out = str(tmp_path / "o")
+        argv = {"evaluate": [], "predict": ["--at", "0"]}[command]
+        assert main([command, "--checkpoint", ckpt, "--data", data, "--out", out]
+                    + argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and OVERFLOW_ERROR in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("extra, message", [
         ({}, r"KeyError\('norm_mean'\)"),
         ({"norm_mean": 1.0}, r"KeyError\('norm_std'\)"),
@@ -422,6 +443,35 @@ def test_adjacency_too_large_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and "error: adjacency of 60000 nodes cannot be allocated" in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_nodes", [4500, 7000])
+def test_operator_is_built_in_the_guarded_adjacency(n_nodes):
+    """The operator is formed in the one ``[N, N]`` array that the allocation
+    guard covers: with 256 MiB to spare, 4500 nodes (154 MiB) build and 7000
+    (374 MiB) are a ``ConfigError``, never an untyped ``MemoryError``."""
+    g = GraphSpec(n_nodes, tuple((a, b, 1.0) for i in range(n_nodes)
+                                 for a, b in ((i, (i + 1) % n_nodes), ((i + 1) % n_nodes, i))))
+    # Garbage of earlier tests, collected under the cap, would widen it.
+    gc.collect()
+    with address_space_cap(256 << 20):
+        if n_nodes == 4500:
+            assert normalize_adjacency(g).matrix.shape == (4500, 4500)
+        else:
+            with pytest.raises(ConfigError, match="adjacency of 7000 nodes cannot be"):
+                normalize_adjacency(g)
+
+
+def test_train_refuses_overflowing_node_weights(tmp_path, tiny_config, capsys):
+    data = synth_dir(tmp_path, tiny_config)
+    with open(os.path.join(data, "adjacency.csv"), "w") as fh:
+        fh.write(OVERFLOW_ADJACENCY)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["train", "--data", data, "--config", tiny_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and OVERFLOW_ERROR in err, err
+    assert not out.exists()
 
 
 TRAIN = ["train", "--data", "{data}", "--config", "{config}", "--out", "{out}"]

@@ -6,8 +6,7 @@ from conformer.conditioning import (ConditionFactors, expanded_score_identity,
                                     expanded_score_terms, generate_factors, gln,
                                     modulated_residual)
 from conformer.errors import DimensionError
-from conformer.graph import (GraphSpec, PropagationOperator, normalize_adjacency,
-                             propagate)
+from conformer.graph import GraphSpec, normalize_adjacency, propagate
 
 
 def make_generator(rng, in_width, d_model, zero_head=True):
@@ -40,7 +39,8 @@ class TestComputeCondition:
     def test_identity_operator_repeats_blocks(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 4))
-        op = PropagationOperator(np.eye(3))
+        op = normalize_adjacency(GraphSpec(3))
+        assert np.array_equal(op.matrix, np.eye(3))
         out = propagate(nm.Tensor(x), op, 2).data
         assert np.array_equal(out, np.concatenate([x, x, x], axis=-1))
 

@@ -80,3 +80,18 @@ def test_traced_forward_backward_and_predict():
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = {m["name"] for m in json.load(fh)["per_layer"]}
     assert set(layer) == {name for name in declared if not name.startswith("bench.")}
+
+
+def test_traced_synth_builds_one_operator_per_event():
+    """The data workload's separation check: each synthetic incident event
+    builds its operator through ``normalize_adjacency``, once."""
+    lt = load_layertrace()
+    tracer = lt.Tracer()
+    tracer.install()
+    try:
+        synth_generate(SynthConfig(n_nodes=5, days=2, interval_minutes=60,
+                                   incident_rate=2.0), seed=3)
+    finally:
+        tracer.remove()
+    events = tracer.counts["data.events"]
+    assert tracer.calls["graph.normalize_adjacency"] == events > 0
