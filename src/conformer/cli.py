@@ -73,10 +73,7 @@ def _write_resolved(out_dir, payload: dict) -> None:
 
 def cmd_synth(args) -> int:
     raw = load_run_config(args.config)
-    section = dict(raw.get("synth", {}))
-    if args.incident_rate is not None:
-        section["incident_rate"] = args.incident_rate
-    gen = config_from_dict(SynthConfig, section, "synth")
+    gen = config_from_dict(SynthConfig, raw.get("synth", {}), "synth")
     bundle = synth_generate(gen, seed=args.seed)
     save_dataset(bundle, args.out)
     _write_resolved(args.out, {"synth": asdict(gen), "seed": args.seed})
@@ -150,10 +147,11 @@ def cmd_predict(args) -> int:
 
 def cmd_flops(args) -> int:
     raw = load_run_config(args.config)
-    cfg = resolve_model_config(raw.get("model", {}), None, args.ablate)
+    bundle = load_dataset(args.data) if args.data else None
+    cfg = resolve_model_config(raw.get("model", {}), bundle, args.ablate)
     n_edges = args.edges
-    if n_edges is None and args.data:
-        n_edges = len(load_dataset(args.data).graph.edges)
+    if n_edges is None and bundle is not None:
+        n_edges = len(bundle.graph.edges)
     if n_edges is None:
         raise ConfigError("flops needs --edges N or --data DIR for the edge count")
     flops = estimate_flops(cfg, n_edges)
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON run config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--incident-rate", type=float, default=None, dest="incident_rate")
 
     p = command("train", cmd_train, "train on a dataset directory")
     p.add_argument("--data", required=True)

@@ -21,7 +21,7 @@ from .conditioning import (ConditionFactors, generate_factors, gln,
 from .data import NormalizationStats
 from .embeddings import CalendarIndexer, embed_all
 from .errors import ConfigError, DimensionError, LoadError, ValidationError
-from .graph import GraphSpec, PropagationOperator, normalize_adjacency, propagate
+from .graph import GraphSpec, normalize_adjacency, propagate
 
 ABLATIONS = ("no-accident", "no-regulation", "no-alpha", "no-beta", "no-gamma",
              "no-spatial", "no-temporal", "plain-ln")
@@ -262,14 +262,15 @@ def _ablate(cfg: ConFormerConfig, params: ConFormerParams, ln: str,
     return ConditionFactors(gamma=gamma, beta=beta, alpha=alpha)
 
 
-def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
-            params: ConFormerParams, cfg: ConFormerConfig,
+def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec, params: ConFormerParams,
+            cfg: ConFormerConfig,
             dropout_rng: np.random.Generator | None = None) -> nm.Tensor:
     """Full forward pass: embeddings, conditioned layers, horizon readout.
 
     Input ``x`` is ``[T, N, D_in]`` or batched ``[B, T, N, D_in]``; the output
-    is ``[T', N, 1]`` (or ``[B, T', N, 1]``). Pass ``dropout_rng`` only during
-    training; inference is deterministic.
+    is ``[T', N, 1]`` (or ``[B, T', N, 1]``). The propagation operator is
+    built from ``graph`` once its node count matches the config. Pass
+    ``dropout_rng`` only during training; inference is deterministic.
     """
     if x.ndim not in (3, 4):
         raise DimensionError(f"input must be [.., T, N, D_in], got {x.shape}")
@@ -277,10 +278,10 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec | PropagationOperator,
         raise DimensionError(
             f"input window {x.shape} does not match config "
             f"(T={cfg.t_in}, N={cfg.n_nodes}, D_in={cfg.d_in})")
-    op = graph if isinstance(graph, PropagationOperator) else normalize_adjacency(graph)
-    if op.n_nodes != cfg.n_nodes:
+    if graph.n_nodes != cfg.n_nodes:
         raise DimensionError(
-            f"graph has {op.n_nodes} nodes, config expects {cfg.n_nodes}")
+            f"graph has {graph.n_nodes} nodes, config expects {cfg.n_nodes}")
+    op = normalize_adjacency(graph)
 
     acc_ids = np.asarray(acc_ids)
     reg_ids = np.asarray(reg_ids)

@@ -4,10 +4,11 @@ Every primitive records its parents and a vector-Jacobian product, so any
 scalar built from Tensor ops can be differentiated with ``backward``.
 Values are checked for NaN/Inf after every arithmetic primitive; a
 non-finite result raises ``NumericsError`` instead of propagating silently.
-The structural primitives (``reshape``, ``transpose``/``moveaxis``,
-``slice_last_axis``, ``concat_last_axis``, ``gather_rows`` and
-``broadcast_to``) only rearrange values of tensors already checked, so they
-skip the check.
+A primitive skips the check when its output cannot be non-finite: the
+structural ones (``reshape``, ``transpose``/``moveaxis``, ``slice_last_axis``,
+``concat_last_axis``, ``gather_rows`` and ``broadcast_to``) only rearrange
+values of tensors already checked, and ``softmax_last_axis`` maps finite
+input into [0, 1].
 
 ``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
 tape instead of two, with the gradients of the matmul-plus-add composite.
@@ -149,8 +150,9 @@ def as_tensor(x) -> Tensor:
 def _node(data, parents: tuple, vjp: Callable, op: str | None = None) -> Tensor:
     """The output of a primitive; under ``no_tape`` it keeps no parents.
 
-    A named ``op`` is checked for finiteness. ``op=None`` marks a structural
-    primitive, which only rearranges values of finite parents and skips it.
+    A named ``op`` is checked for finiteness. ``op=None`` skips the check, for
+    a structural primitive, which only rearranges values of finite parents,
+    or for one whose output from finite input is finite.
     """
     node = Tensor.__new__(Tensor)
     # A full ``tsum`` returns a numpy scalar; the node holds a 0-d array.
@@ -426,7 +428,7 @@ def softmax_last_axis(x) -> Tensor:
     def vjp(grad: Array):
         return (_softmax_vjp(grad, out_data, 1.0),)
 
-    return _node(out_data, (x,), vjp, "softmax")
+    return _node(out_data, (x,), vjp)
 
 
 def attention(q, k, v, n_heads: int, axis: int) -> Tensor:

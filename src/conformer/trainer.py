@@ -14,7 +14,6 @@ from .data import (DatasetBundle, MaskedMetrics, NormalizationStats, SplitSpec,
                    chronological_split, fit_normalization, make_windows,
                    masked_metrics, window_block)
 from .errors import ConfigError
-from .graph import normalize_adjacency
 from .model import ConFormerConfig, ConFormerParams, forward, init_params
 
 
@@ -141,7 +140,6 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     cfg = params.cfg
-    op = normalize_adjacency(bundle.graph)
     n_workers = _thread_count()
     t0s = np.asarray(windows)  # window_block checks each batch before its int64 cast
     batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
@@ -149,7 +147,7 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     def run(starts: np.ndarray) -> np.ndarray:
         x, acc, reg = _gather(bundle, starts, cfg.t_in, stats)
         with nm.no_tape():
-            pred = forward(x, acc, reg, starts, op, params, cfg)
+            pred = forward(x, acc, reg, starts, bundle.graph, params, cfg)
         return stats.invert(pred.data)
 
     if n_workers > 1 and len(batches) > 1:
@@ -230,7 +228,6 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
 
     lo, hi = split.train
     stats = fit_normalization(bundle.values[lo:hi])
-    op = normalize_adjacency(bundle.graph)
 
     seeds = np.random.SeedSequence(tcfg.seed).spawn(3)
     init_seed = int(seeds[0].generate_state(1)[0])
@@ -250,8 +247,7 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
             batch = order[start:start + tcfg.batch_size]
             t0s = train_windows[batch]
             x, acc, reg = _gather(bundle, t0s, cfg.t_in, stats)
-            pred = forward(x, acc, reg, t0s, op, params, cfg,
-                           dropout_rng=dropout_rng if cfg.dropout > 0 else None)
+            pred = forward(x, acc, reg, t0s, bundle.graph, params, cfg, dropout_rng)
             loss = masked_mae_loss(pred, y_train[batch], stats)
             if loss is None:
                 continue

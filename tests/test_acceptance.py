@@ -132,10 +132,9 @@ def test_criterion_4_full_model_gradient():
     params.replace({n: rng.normal(0, 0.3, t.shape) for n, t in params.entries()})
     x, acc, reg, graph, y = grad_check_inputs(cfg)
     stats = NormalizationStats(0.0, 1.0)
-    op = normalize_adjacency(graph)
 
     def loss_value():
-        pred = forward(x, acc, reg, 3, op, params, cfg)
+        pred = forward(x, acc, reg, 3, graph, params, cfg)
         return masked_mae_loss(pred, y, stats)
 
     start = time.time()

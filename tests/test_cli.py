@@ -92,9 +92,13 @@ class TestSynth:
             assert read(os.path.join(a, name)) == read(os.path.join(b, name)), name
 
     def test_zero_incident_rate_header_only(self, tmp_path, tiny_config):
+        with open(tiny_config) as fh:
+            cfg = json.load(fh)
+        cfg["synth"]["incident_rate"] = 0
+        quiet = tmp_path / "quiet.json"
+        quiet.write_text(json.dumps(cfg))
         out = str(tmp_path / "quiet")
-        assert main(["synth", "--config", tiny_config, "--seed", "1",
-                     "--out", out, "--incident-rate", "0"]) == 0
+        assert main(["synth", "--config", str(quiet), "--seed", "1", "--out", out]) == 0
         with open(os.path.join(out, "incidents.csv")) as fh:
             assert fh.read() == "t,node,kind,code\n"
 
@@ -338,10 +342,31 @@ class TestEvaluatePredictFlops:
         data = synth_dir(tmp_path, tiny_config)
         capsys.readouterr()
         assert main(["flops", "--config", tiny_config, "--data", data]) == 0
+        bundle = load_dataset(data)
         with open(tiny_config) as fh:
-            cfg = resolve_model_config(json.load(fh)["model"], None, [])
-        n_edges = len(load_dataset(data).graph.edges)
-        assert n_edges > 0 and f"flops={estimate_flops(cfg, n_edges)} " in capsys.readouterr().out
+            cfg = resolve_model_config(json.load(fh)["model"], bundle, [])
+        n_edges = len(bundle.graph.edges)
+        assert n_edges > 0 and capsys.readouterr().out == (
+            f"flops={estimate_flops(cfg, n_edges)} params={count_params(cfg)}\n")
+
+    def test_flops_takes_the_dataset_model_fields(self, tmp_path, capsys):
+        # A 30-node ring of 48 steps a day: the default model at N=30, not N=1.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"synth": {"n_nodes": 30, "days": 2,
+                                              "interval_minutes": 30, "topology": "ring"}}))
+        data = str(tmp_path / "data")
+        assert main(["synth", "--config", str(path), "--out", data]) == 0
+        capsys.readouterr()
+        assert main(["flops", "--data", data]) == 0
+        assert capsys.readouterr().out == "flops=856320 params=43214\n"
+
+    def test_flops_model_section_contradicting_dataset(self, tmp_path, tiny_config, capsys):
+        data = synth_dir(tmp_path, tiny_config)
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps({"model": {"n_nodes": 5}}))
+        capsys.readouterr()
+        assert main(["flops", "--config", str(path), "--data", data]) == 1
+        assert "dataset n_nodes=4 differs from model config n_nodes=5" in capsys.readouterr().err
 
     def test_flops_needs_edge_count(self):
         assert main(["flops"]) == 1

@@ -15,7 +15,6 @@ import numpy as np
 from conformer import cli, model, trainer  # noqa: F401  (cli: install patches it)
 from conformer import numerics as nm
 from conformer.data import NormalizationStats, SynthConfig, synth_generate
-from conformer.graph import normalize_adjacency
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -46,7 +45,6 @@ def test_traced_forward_backward_and_predict():
                                 k_hops=1, n_heads=2, steps_per_day=24)
     params = model.init_params(cfg, seed=0)
     stats = NormalizationStats(mean=50.0, std=10.0)
-    op = normalize_adjacency(bundle.graph)
     starts = np.array([0, 5])
     x, acc, reg = trainer._gather(bundle, starts, cfg.t_in, stats)
     target = bundle.values[starts[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
@@ -56,7 +54,7 @@ def test_traced_forward_backward_and_predict():
     tracer.install()
     try:
         assert conformer_namespaces() != before
-        pred = model.forward(x, acc, reg, starts, op, params, cfg,
+        pred = model.forward(x, acc, reg, starts, bundle.graph, params, cfg,
                              dropout_rng=np.random.default_rng(0))
         nm.backward(trainer.masked_mae_loss(pred, target, stats),
                     dict(params.entries()))
@@ -69,7 +67,8 @@ def test_traced_forward_backward_and_predict():
 
     assert tracer.calls["model.forward"] == 2
     children = tracer.forward_children_calls()
-    assert set(children) == set(lt.DIFF_LAYERS.values())
+    assert set(children) == set(lt.FORWARD_STAGES)
+    assert children["graph.normalize_adjacency"] == tracer.calls["model.forward"]
     for stage in lt.DIFF_LAYERS.values():
         assert children[stage] >= tracer.calls["model.forward"], stage
     assert len(tracer.tape_nodes) == 1

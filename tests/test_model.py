@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, count
                              estimate_flops, forward, init_params, load_checkpoint, param_spec,
                              readout, save_checkpoint)
 from conformer.trainer import TrainConfig
+from oracles import reference_forward
 
 
 def tiny_cfg(**kw):
@@ -169,6 +171,21 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(x, acc, reg, 0, wrong, params, cfg)
 
+    def test_graph_size_checked_before_operator_is_built(self):
+        # A 3000-node operator would take 69 MiB; the refusal allocates none of it.
+        cfg = tiny_cfg(n_nodes=3)
+        params = init_params(cfg, seed=1)
+        x, acc, reg, _ = tiny_inputs(cfg)
+        wrong = GraphSpec(3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="graph has 3000 nodes, config expects 3"):
+                forward(x, acc, reg, 0, wrong, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestAblations:
     def baseline(self, cfg, seed=6):
@@ -220,6 +237,43 @@ class TestAblations:
         names = {n for n, _ in with_ln.entries()} - {n for n, _ in without.entries()}
         assert names == {"layer0.ln1.gamma", "layer0.ln1.beta",
                          "layer0.ln2.gamma", "layer0.ln2.beta"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), t_in=st.integers(1, 6), n_nodes=st.integers(1, 6),
+       d_model=st.sampled_from([4, 8]), n_heads=st.sampled_from([1, 2]),
+       k_hops=st.integers(0, 2), n_layers=st.integers(0, 2),
+       ablations=st.sets(st.sampled_from(ABLATIONS)), batch=st.integers(0, 2))
+def test_forward_matches_reference_model(data, t_in, n_nodes, d_model, n_heads, k_hops,
+                                         n_layers, ablations, batch):
+    """``forward`` against the plain-numpy model of ``oracles.reference_forward``,
+    with perturbed parameters so every generator head is live; ``batch`` 0
+    is one unbatched window."""
+    steps_per_day = data.draw(st.integers(1, 6))
+    cfg = ConFormerConfig(
+        t_in=t_in, t_out=data.draw(st.integers(1, 3)), n_nodes=n_nodes,
+        d_in=data.draw(st.integers(1, 2)), d_data=data.draw(st.integers(1, 3)),
+        d_acc=data.draw(st.integers(0, 2)), d_reg=data.draw(st.integers(0, 2)),
+        d_dow=data.draw(st.integers(0, 2)), d_tod=data.draw(st.integers(0, 2)),
+        d_stae=data.draw(st.integers(0, 2)), d_model=d_model, k_hops=k_hops,
+        n_heads=n_heads, n_layers=n_layers, dropout=0.0, steps_per_day=steps_per_day,
+        start_weekday=data.draw(st.integers(0, 6)),
+        start_slot=data.draw(st.integers(0, steps_per_day - 1)),
+        n_acc_codes=data.draw(st.integers(1, 3)), n_reg_codes=data.draw(st.integers(1, 3)),
+        ablations=tuple(ablations))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    params = init_params(cfg, seed=0)
+    params.replace({name: t.data + rng.normal(0, 0.2, t.shape) for name, t in params.entries()})
+    lead = (batch,) if batch else ()
+    x = rng.normal(size=lead + (t_in, n_nodes, cfg.d_in))
+    acc = rng.integers(0, cfg.n_acc_codes, size=lead + (t_in, n_nodes))
+    reg = rng.integers(0, cfg.n_reg_codes, size=lead + (t_in, n_nodes))
+    t0 = rng.integers(0, 50, size=lead) if batch else int(rng.integers(0, 50))
+    graph = GraphSpec(n_nodes, tuple((i, j, float(rng.uniform(0.1, 2.0)))
+                                     for i in range(n_nodes) for j in range(n_nodes)
+                                     if i != j and rng.random() < 0.4))
+    out = forward(x, acc, reg, t0, graph, params, cfg).data
+    assert nm.relative_error(out, reference_forward(x, acc, reg, t0, graph, params, cfg)) <= 1e-12
 
 
 class TestCounting:

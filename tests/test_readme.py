@@ -2,9 +2,11 @@
 
 Every ``conformer ...`` command in the README's CLI block must parse, the
 example ``run.json`` must build valid model, train and synth configs, and the
-Layout block must name every module of the package.
+Layout block must name every module of the package and every function of
+``tests/oracles.py``.
 """
 
+import ast
 import json
 import pathlib
 import re
@@ -56,3 +58,11 @@ def test_layout_names_every_module():
     named = set(re.findall(r"\b\w+\.py\b", fenced_block("## Layout", "")))
     modules = {path.name for path in (ROOT / "src" / "conformer").glob("*.py")}
     assert modules - {"__init__.py"} - named == set()
+
+
+def test_layout_names_every_oracle():
+    layout = fenced_block("## Layout", "")
+    entry = layout[layout.index("oracles.py"):]
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in oracles if name not in entry} == set()

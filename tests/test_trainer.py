@@ -8,7 +8,7 @@ from conformer import trainer
 from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
                             chronological_split, make_windows, synth_generate)
 from conformer.errors import ConfigError, ValidationError
-from conformer.graph import GraphSpec, normalize_adjacency
+from conformer.graph import GraphSpec
 from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, forward,
                              init_params)
 from conformer.trainer import (TrainConfig, evaluate,
@@ -106,10 +106,9 @@ def training_graph(ablation):
     t0s = np.array([0, 3, 9])
     x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
     y = bundle.values[t0s[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
-    op = normalize_adjacency(bundle.graph)
 
     def loss():
-        pred = forward(x, acc, reg, t0s, op, params, cfg,
+        pred = forward(x, acc, reg, t0s, bundle.graph, params, cfg,
                        dropout_rng=np.random.default_rng(3))
         return masked_mae_loss(pred, y, stats)
 
@@ -289,11 +288,10 @@ class TestTraining:
         windows = make_windows(bundle, split.train, cfg.t_in, cfg.t_out)
         stats = NormalizationStats(float(bundle.values.mean()),
                                    float(bundle.values.std()))
-        op = normalize_adjacency(bundle.graph)
         t0 = int(windows[0])
         x = stats.apply(bundle.values[t0:t0 + cfg.t_in])[..., None]
         pred = forward(x, bundle.acc_ids[t0:t0 + cfg.t_in],
-                       bundle.reg_ids[t0:t0 + cfg.t_in], t0, op, params, cfg)
+                       bundle.reg_ids[t0:t0 + cfg.t_in], t0, bundle.graph, params, cfg)
         y = bundle.values[t0 + cfg.t_in:t0 + cfg.t_in + cfg.t_out]
         loss = masked_mae_loss(pred, y[..., None], stats)
         record = nm.backward(loss, dict(params.entries()))
