@@ -26,7 +26,7 @@ def load_run_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # also bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, deep nesting
             raise LoadError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -72,13 +72,9 @@ def _normalize_rows(x: np.ndarray, eps: float) -> np.ndarray:
     return (x - mean.data) / std.data
 
 
-def expanded_score_terms(q, k, gamma, beta, eps: float = 1e-12):
-    """The four terms of the binomial expansion of ``Q' K'^T``.
-
-    With ``N_Q = (Q - mu_Q) / sigma_Q`` per token (row), the terms are
-    ``(g N_Q)(g N_K)^T``, ``(g N_Q) b^T``, ``b (g N_K)^T``, and ``b b^T``
-    (the last two broadcast across rows/columns of the score matrix).
-    """
+def _modulated_rows(q, k, gamma, beta, eps: float):
+    """``gamma * N_Q``, ``gamma * N_K`` and ``beta`` as float64 rows, with the
+    feature widths of q, k and gamma checked."""
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     k = np.atleast_2d(np.asarray(k, dtype=np.float64))
     gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
@@ -87,8 +83,17 @@ def expanded_score_terms(q, k, gamma, beta, eps: float = 1e-12):
         raise DimensionError(
             f"q/k/gamma feature widths differ: {q.shape[-1]}, {k.shape[-1]}, "
             f"{gamma.shape[0]}")
-    gnq = gamma * _normalize_rows(q, eps)
-    gnk = gamma * _normalize_rows(k, eps)
+    return gamma * _normalize_rows(q, eps), gamma * _normalize_rows(k, eps), beta
+
+
+def expanded_score_terms(q, k, gamma, beta, eps: float = 1e-12):
+    """The four terms of the binomial expansion of ``Q' K'^T``.
+
+    With ``N_Q = (Q - mu_Q) / sigma_Q`` per token (row), the terms are
+    ``(g N_Q)(g N_K)^T``, ``(g N_Q) b^T``, ``b (g N_K)^T``, and ``b b^T``
+    (the last two broadcast across rows/columns of the score matrix).
+    """
+    gnq, gnk, beta = _modulated_rows(q, k, gamma, beta, eps)
     term_gg = gnq @ gnk.T
     term_gb = (gnq @ beta)[:, None]
     term_bg = (gnk @ beta)[None, :]
@@ -103,13 +108,8 @@ def expanded_score_identity(q, k, gamma, beta, eps: float = 1e-12):
     queries and keys; rhs is its four-term binomial expansion. The two are
     algebraically identical; callers assert elementwise agreement.
     """
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    k = np.atleast_2d(np.asarray(k, dtype=np.float64))
-    gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    q_prime = gamma * _normalize_rows(q, eps) + beta
-    k_prime = gamma * _normalize_rows(k, eps) + beta
-    lhs = q_prime @ k_prime.T
+    gnq, gnk, b = _modulated_rows(q, k, gamma, beta, eps)
+    lhs = (gnq + b) @ (gnk + b).T
     term_gg, term_gb, term_bg, term_bb = expanded_score_terms(q, k, gamma, beta, eps)
     rhs = term_gg + term_gb + term_bg + term_bb
     return lhs, rhs

@@ -393,7 +393,7 @@ def load_dataset(data_dir) -> DatasetBundle:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _load_error(meta_path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # bytes that are not UTF-8, an over-long integer
+        except (ValueError, RecursionError) as exc:  # not UTF-8, a long integer, deep nesting
             raise LoadError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise LoadError(f"{meta_path}: expected a JSON object")
@@ -551,7 +551,7 @@ def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
     Spread follows the propagation operator so the footprint matches what the
     model's graph propagation can see.
     """
-    op = normalize_adjacency(graph).matrix
+    op = normalize_adjacency(graph)
     impact = np.zeros(graph.n_nodes)
     impact[source] = 1.0
     footprint = impact.copy()

@@ -19,7 +19,7 @@ class GraphSpec:
     """Weighted directed road graph: ``n_nodes`` nodes and an edge list.
 
     Weights are finite and non-negative. The edges are also kept as read-only
-    ``src``/``dst``/``weight`` arrays, so ``adjacency`` is one indexed store.
+    ``src``/``dst``/``weight`` arrays, which the operator scatters in one store.
     """
 
     n_nodes: int
@@ -52,43 +52,33 @@ class GraphSpec:
             array.setflags(write=False)
         object.__setattr__(self, "_arrays", arrays)
 
-    def adjacency(self) -> np.ndarray:
-        src, dst, weight = self._arrays
-        n = self.n_nodes
-        nm.check_allocatable(f"adjacency of {n} nodes", (n, n))
-        a = np.zeros((n, n))
-        a[src, dst] = weight
-        return a
 
-
-class PropagationOperator:
-    """``D^-1 (A + I)``, built in the one ``[N, N]`` buffer of ``g.adjacency()``.
+def normalize_adjacency(g: GraphSpec) -> np.ndarray:
+    """The propagation operator ``D^-1 (A + I)`` of ``g``, as a read-only
+    ``[N, N]`` array built in one buffer.
 
     The self-loops make every degree at least 1, so each row sums to 1 with
     entries in [0, 1]. A node whose weights sum past float64 is refused.
     """
-
-    def __init__(self, g: GraphSpec):
-        if not isinstance(g, GraphSpec):
-            raise ContractError(f"an operator is built from a GraphSpec, got {type(g).__name__}")
-        a = g.adjacency()
-        a.flat[::g.n_nodes + 1] += 1.0
-        with np.errstate(over="ignore"):
-            degree = a.sum(axis=1, keepdims=True)
-        overflow = np.flatnonzero(~np.isfinite(degree))
-        if overflow.size:
-            raise ValidationError(f"edge weights of node {overflow[0]} sum past the float64 range")
-        a /= degree
-        a.setflags(write=False)
-        self.matrix, self.n_nodes = a, g.n_nodes
-
-
-def normalize_adjacency(g: GraphSpec) -> PropagationOperator:
-    """The propagation operator ``D^-1 (A + I)`` of ``g``."""
-    return PropagationOperator(g)
+    if not isinstance(g, GraphSpec):
+        raise ContractError(f"an operator is built from a GraphSpec, got {type(g).__name__}")
+    src, dst, weight = g._arrays
+    n = g.n_nodes
+    nm.check_allocatable(f"adjacency of {n} nodes", (n, n))
+    a = np.zeros((n, n))
+    a[src, dst] = weight
+    a.flat[::n + 1] += 1.0
+    with np.errstate(over="ignore"):
+        degree = a.sum(axis=1, keepdims=True)
+    overflow = np.flatnonzero(~np.isfinite(degree))
+    if overflow.size:
+        raise ValidationError(f"edge weights of node {overflow[0]} sum past the float64 range")
+    a /= degree
+    a.setflags(write=False)
+    return a
 
 
-def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:
+def propagate(x: nm.Tensor, op: np.ndarray, k_hops: int) -> nm.Tensor:
     """K-hop graph propagation with hop-wise concatenation.
 
     ``x`` is ``[..., N, D]`` with the node axis second-to-last; the output is
@@ -101,10 +91,10 @@ def propagate(x: nm.Tensor, op: PropagationOperator, k_hops: int) -> nm.Tensor:
     x = nm.as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"propagate expects [..., N, D] input, got {x.shape}")
-    if x.shape[-2] != op.n_nodes:
+    if x.shape[-2] != op.shape[0]:
         raise DimensionError(
-            f"node axis {x.shape[-2]} does not match operator size {op.n_nodes}")
+            f"node axis {x.shape[-2]} does not match operator size {op.shape[0]}")
     hops = [x]
     for _ in range(k_hops):
-        hops.append(nm.matmul(op.matrix, hops[-1]))
+        hops.append(nm.matmul(op, hops[-1]))
     return nm.concat_last_axis(hops)

@@ -20,7 +20,7 @@ from .conditioning import (ConditionFactors, generate_factors, gln,
                            modulated_residual)
 from .data import NormalizationStats
 from .embeddings import CalendarIndexer, embed_all
-from .errors import ConfigError, DimensionError, LoadError, ValidationError
+from .errors import ConfigError, DimensionError, LoadError, NumericsError, ValidationError
 from .graph import GraphSpec, normalize_adjacency, propagate
 
 ABLATIONS = ("no-accident", "no-regulation", "no-alpha", "no-beta", "no-gamma",
@@ -362,6 +362,8 @@ def load_checkpoint(path) -> tuple[ConFormerParams, NormalizationStats]:
     if len(size) != 8:
         raise LoadError(f"{path}: truncated header length")
     (header_len,) = struct.unpack("<Q", size)
+    if header_len > len(data) - buf.tell():  # ``read`` overflows past int64
+        raise LoadError(f"{path}: truncated header of {header_len} bytes")
     try:
         header = json.loads(buf.read(header_len).decode("utf-8"))
         cfg = config_from_dict(ConFormerConfig, header["config"], "model")
@@ -370,7 +372,7 @@ def load_checkpoint(path) -> tuple[ConFormerParams, NormalizationStats]:
         listed = header["params"]
         # One entry past the listed ones, as n_layers may be too large to list.
         spec = list(itertools.islice(param_spec(cfg), len(listed) + 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise LoadError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
     if listed != [[name, list(shape)] for name, shape, _ in spec]:
         raise LoadError(f"{path}: parameter enumeration does not match config")
@@ -380,7 +382,10 @@ def load_checkpoint(path) -> tuple[ConFormerParams, NormalizationStats]:
         n_bytes = 8 * math.prod(shape)
         if n_bytes > len(data) - buf.tell():
             raise LoadError(f"{path}: truncated data for parameter '{name}'")
-        arrays[name] = nm.Tensor(np.frombuffer(buf.read(n_bytes), dtype="<f8").reshape(shape))
+        try:
+            arrays[name] = nm.Tensor(np.frombuffer(buf.read(n_bytes), dtype="<f8").reshape(shape))
+        except NumericsError as exc:
+            raise LoadError(f"{path}: non-finite value in parameter '{name}'") from exc
     if buf.read(1):
         raise LoadError(f"{path}: trailing bytes after parameter data")
     return ConFormerParams(cfg, arrays), stats

@@ -7,8 +7,9 @@ non-finite result raises ``NumericsError`` instead of propagating silently.
 A primitive skips the check when its output cannot be non-finite: the
 structural ones (``reshape``, ``transpose``/``moveaxis``, ``slice_last_axis``,
 ``concat_last_axis``, ``gather_rows`` and ``broadcast_to``) only rearrange
-values of tensors already checked, and ``softmax_last_axis`` maps finite
-input into [0, 1].
+values of tensors already checked, ``softmax_last_axis`` maps finite
+input into [0, 1], and ``gelu`` and ``absolute`` give at most ``|x|`` in
+magnitude.
 
 ``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
 tape instead of two, with the gradients of the matmul-plus-add composite.
@@ -367,7 +368,7 @@ def absolute(x) -> Tensor:
     def vjp(grad: Array):
         return (grad * np.sign(x.data),)
 
-    return _node(np.abs(x.data), (x,), vjp, "abs")
+    return _node(np.abs(x.data), (x,), vjp)
 
 
 def gelu(x) -> Tensor:
@@ -393,7 +394,7 @@ def gelu(x) -> Tensor:
         pdf *= grad
         return (pdf,)
 
-    return _node(x.data * cdf, (x,), vjp, "gelu")
+    return _node(x.data * cdf, (x,), vjp)
 
 
 def _softmax_in_place(scaled: Array) -> Array:

@@ -116,7 +116,7 @@ def test_criterion_3_propagation_oracle():
             x = rng.normal(size=(3, n, d))
             out = propagate(nm.Tensor(x), op, k).data
             for j in range(k + 1):
-                power = np.linalg.matrix_power(op.matrix, j)
+                power = np.linalg.matrix_power(op, j)
                 expected = np.einsum("uv,tvd->tud", power, x)
                 worst = max(worst, float(np.abs(out[..., j * d:(j + 1) * d]
                                                 - expected).max()))

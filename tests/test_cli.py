@@ -481,7 +481,7 @@ def test_operator_is_built_in_the_guarded_adjacency(n_nodes):
     gc.collect()
     with address_space_cap(256 << 20):
         if n_nodes == 4500:
-            assert normalize_adjacency(g).matrix.shape == (4500, 4500)
+            assert normalize_adjacency(g).shape == (4500, 4500)
         else:
             with pytest.raises(ConfigError, match="adjacency of 7000 nodes cannot be"):
                 normalize_adjacency(g)
@@ -592,7 +592,9 @@ def test_bad_input_is_a_typed_error(tmp_path, tiny_config, capsys, name):
     ("[1]", ["flops", "--edges", "1"], ConfigError),
     ('{"modle": {}}', ["flops", "--edges", "1"], ConfigError),
     (None, ["flops"], ConfigError),
-], ids=["invalid-json", "not-an-object", "unknown-section", "flops-no-edge-count"])
+    ("[" * 100_000, ["flops", "--edges", "1"], LoadError),
+], ids=["invalid-json", "not-an-object", "unknown-section", "flops-no-edge-count",
+        "nested-json"])
 def test_cli_failure_types(tmp_path, config_text, argv, error):
     """Each CLI failure raises a ``ConformerError`` subclass, never the base."""
     if config_text is not None:
@@ -603,3 +605,25 @@ def test_cli_failure_types(tmp_path, config_text, argv, error):
     with pytest.raises(ConformerError) as info:
         args.func(args)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("target", ["config", "meta", "checkpoint"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, tiny_config, capsys, target):
+    """100,000 nested ``[`` exhaust the JSON decoder's recursion; each of the
+    three JSON readers turns that into one ``error:`` line naming its file."""
+    data = synth_dir(tmp_path, tiny_config)
+    nested = b"[" * 100_000
+    config, meta, checkpoint = (tmp_path / "nested.json", tmp_path / "data" / "meta.json",
+                                tmp_path / "nested.cfmr")
+    path, blob, argv = {
+        "config": (config, nested, ["flops", "--config", str(config)]),
+        "meta": (meta, nested, ["hi", "--data", data]),
+        "checkpoint": (checkpoint, b"CFMR1\n" + struct.pack("<Q", len(nested)) + nested,
+                       ["evaluate", "--data", data, "--checkpoint", str(checkpoint)]),
+    }[target]
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+    assert "maximum recursion depth exceeded" in lines[0]

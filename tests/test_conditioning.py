@@ -40,7 +40,7 @@ class TestComputeCondition:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 4))
         op = normalize_adjacency(GraphSpec(3))
-        assert np.array_equal(op.matrix, np.eye(3))
+        assert np.array_equal(op, np.eye(3))
         out = propagate(nm.Tensor(x), op, 2).data
         assert np.array_equal(out, np.concatenate([x, x, x], axis=-1))
 
@@ -53,7 +53,7 @@ class TestComputeCondition:
         x = rng.normal(size=(2, 3, 2))
         out = propagate(nm.Tensor(x), op, 2).data
         for j in range(3):
-            power = np.linalg.matrix_power(op.matrix, j)
+            power = np.linalg.matrix_power(op, j)
             assert np.abs(out[..., 2 * j:2 * j + 2]
                           - np.einsum("uv,tvd->tud", power, x)).max() <= 1e-12
 
@@ -203,3 +203,9 @@ class TestExpandedScoreIdentity:
         t1 = expanded_score_terms(q, k, gamma, beta)[0]
         t2 = expanded_score_terms(q, k, 2.0 * gamma, beta)[0]
         assert np.allclose(t2, 4.0 * t1, atol=1e-12)
+
+    @pytest.mark.parametrize("fn", [expanded_score_identity, expanded_score_terms])
+    def test_width_mismatch_is_a_dimension_error(self, fn):
+        q = k = np.ones((2, 3))
+        with pytest.raises(DimensionError, match="q/k/gamma feature widths differ: 3, 3, 4"):
+            fn(q, k, np.ones(4), np.zeros(4))

@@ -8,15 +8,20 @@ runs the same wrappers on one forward and backward pass and one
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conformer import cli, model, trainer  # noqa: F401  (cli: install patches it)
 from conformer import numerics as nm
 from conformer.data import NormalizationStats, SynthConfig, synth_generate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def load_layertrace():
@@ -94,3 +99,21 @@ def test_traced_synth_builds_one_operator_per_event():
         tracer.remove()
     events = tracer.counts["data.events"]
     assert tracer.calls["graph.normalize_adjacency"] == events > 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_setup_runs(workload):
+    """``perfbench/run.py --setup-only`` builds each workload from ``src/``, so
+    a change there that breaks the benchmark's imports or set-up fails here."""
+    out_dir = ROOT / ".perfbench-out"
+    existed = out_dir.exists()
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "0", "--setup-only"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+    finally:
+        if not existed:
+            shutil.rmtree(out_dir, ignore_errors=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])

@@ -395,10 +395,13 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(cfg, seed=0), STATS, 1)
         raw = path.read_bytes()
         # cut inside the parameter data, then twice inside the length field;
-        # then one byte too many
+        # then one byte too many, a header length past int64 and a NaN weight
         for cut, message in ((raw[:-16], "truncated"), (raw[:8], "truncated"),
                              (raw[:12], "truncated"),
-                             (raw + b"\0", "trailing bytes after parameter data")):
+                             (raw + b"\0", "trailing bytes after parameter data"),
+                             (raw[:13] + b"\x80" + raw[14:], "truncated header of"),
+                             (raw[:-8] + np.float64(np.nan).tobytes(),
+                              "non-finite value in parameter 'readout.b'")):
             path.write_bytes(cut)
             with pytest.raises(LoadError, match=f"{path.name}.*{message}"):
                 load_checkpoint(path)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import erf
 
 from conformer import numerics as nm
@@ -133,6 +135,18 @@ class TestGelu:
         node = nm.gelu(nm.Tensor(x))
         assert node.data.tobytes() == (x * cdf).tobytes()
         assert node._vjp(grad)[0].tobytes() == (grad * (cdf + x * pdf)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, array_shapes(max_dims=2, max_side=8),
+                elements=st.one_of(st.sampled_from([-1e308, 0.0, 1e308]),
+                                   st.floats(-1e308, 1e308))))
+@example(x=np.array([1e308, -1e308, 5e-324]))
+def test_gelu_and_absolute_of_finite_input_are_finite(x):
+    """Why ``gelu`` and ``absolute`` run no finiteness check: ``|x Φ(x)|``
+    and ``|x|`` are at most ``|x|``, so finite input gives finite output."""
+    for out in (nm.gelu(x).data, nm.absolute(x).data):
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= np.abs(x))
 
 
 class TestMeanStd:
