@@ -40,10 +40,28 @@ Inside ``with no_tape():`` (per thread) a node keeps its data and its
 finiteness check but gets no parents, and a stub that raises stands in for
 its VJP, so each intermediate is freed as soon as Python drops it.
 Inference runs this way.
+
+Large batched ops split over ``CONFORMER_THREADS`` threads, by default the
+CPUs this process may use; the value is read, and the workers started, once
+per process (``thread_count``). ``_rowwise`` cuts an op's axis 0, the batch
+of windows, into contiguous slabs; the calling thread computes the first and
+worker threads the others, each into its slab of one preallocated
+C-contiguous output. An op splits only where numpy would lay the whole
+result out in C order, so every byte and every layout, which fixes the
+summation order of reductions downstream, is the whole op's. Sums over axis
+0 stay whole, as do the rows of a 2-D product and any value of one row or
+under ``_SPLIT_FLOOR`` elements. A worker runs its slab in a copy of the
+caller's context, so under the caller's ``np.errstate`` (a context variable
+from numpy 2 on, the version this package requires), and the first slab to
+raise raises in the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import queue
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -58,9 +76,162 @@ Array = np.ndarray
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# -- intra-op threads ---------------------------------------------------------
+
+# An op with fewer output elements than this runs whole: below it, handing a
+# slab to a worker costs more than the worker saves.
+_SPLIT_FLOOR = 1 << 15
+
+_POOL_LOCK = threading.Lock()
+_POOL: tuple | None = None  # (slabs, task queue), made once per process
+_IN_SLAB = threading.local()
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A worker: run slabs until a ``None`` task retires it. Each task is
+    dropped before the next wait, so no op's arrays outlive the op."""
+    while (task := tasks.get()) is not None:
+        context, run, i, replies = task
+        replies.put((i, context.run(run, i)))
+        del task, context, run, replies
+
+
+def _pool() -> tuple[int, queue.SimpleQueue | None]:
+    """Slabs per split op, and the task queue of the workers that run all but
+    the caller's slab.
+
+    The count is ``CONFORMER_THREADS``, by default the CPUs this process may
+    use. It is read, and the workers started, once per process; a bad value
+    raises ``ConfigError`` at every call.
+    """
+    global _POOL
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                raw = os.environ.get("CONFORMER_THREADS")
+                if raw is None:
+                    n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
+                else:
+                    try:
+                        n = int(raw)
+                    except ValueError:
+                        n = 0
+                    if n < 1:
+                        raise ConfigError(
+                            f"CONFORMER_THREADS must be an integer >= 1, got {raw!r}")
+                tasks = queue.SimpleQueue() if n > 1 else None
+                for _ in range(n - 1):
+                    threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
+                _POOL = (n, tasks)
+    return _POOL
+
+
+def thread_count() -> int:
+    """The threads a large batched op splits over, from ``CONFORMER_THREADS``;
+    raises ``ConfigError`` for a value that is not an integer >= 1."""
+    return _pool()[0]
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's workers: it starts its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slab_count(rows: int, size: int) -> int:
+    """Slabs to split an op's axis 0 into; 1 runs it whole, as does a call
+    made from inside a slab."""
+    if rows < 2 or size < _SPLIT_FLOOR or getattr(_IN_SLAB, "on", False):
+        return 1
+    return min(_pool()[0], rows)
+
+
+def _over_slabs(work: Callable[[slice], object], rows: int, k: int) -> list:
+    """``work(slice(lo, hi))`` for ``k`` contiguous slabs of ``rows`` rows,
+    the first in this thread; the results in slab order. A worker runs its
+    slab in a copy of this thread's context, so under its ``np.errstate``.
+    Once every slab has ended, the first to raise, in slab order, raises
+    here."""
+    bounds = [rows * i // k for i in range(k + 1)]
+
+    def run(i: int) -> tuple[bool, object]:
+        _IN_SLAB.on = True
+        try:
+            return True, work(slice(bounds[i], bounds[i + 1]))
+        except Exception as exc:  # raised in the caller's thread below
+            return False, exc
+        finally:
+            _IN_SLAB.on = False
+
+    replies = queue.SimpleQueue()
+    tasks = _pool()[1]
+    for i in range(1, k):
+        tasks.put((contextvars.copy_context(), run, i, replies))
+    results = [run(0)] + [None] * (k - 1)
+    for _ in range(1, k):
+        i, result = replies.get()
+        results[i] = result
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
+
+
+def _c_ordered(x: Array, core: int) -> bool:
+    """Whether numpy lays out a result of ``x`` in C order: the strides of its
+    axes longer than 1, core axes excepted, do not increase."""
+    if x.flags.c_contiguous:
+        return True
+    strides = [s for s, n in zip(x.strides[:max(x.ndim - core, 0)], x.shape) if n > 1 and s]
+    return all(s > 0 for s in strides) and strides == sorted(strides, reverse=True)
+
+
+def _rowwise(fn: Callable, xs: Sequence[Array], *shapes: tuple, core: int = 0):
+    """``fn(*xs)``, computed in slabs of axis 0 of its outputs ``shapes``.
+
+    Each slab calls ``fn`` on the slab of every operand that spans axis 0
+    with ``out=`` its slab of each output, preallocated C-contiguous (a
+    tuple for several outputs). An op runs whole, as ``fn(*xs)``, unless its
+    axis 0 is a batch axis (``core`` trailing axes excluded) of at least two
+    rows, it has ``_SPLIT_FLOOR`` output elements, and numpy would lay its
+    result out in C order anyway: so the bytes and the layout, which fixes the
+    summation order of reductions downstream, are those of the whole op.
+    """
+    lead = shapes[0]
+    rows = lead[0] if len(lead) > core else 0
+    k = _slab_count(rows, math.prod(lead))
+    if k == 1 or not all(_c_ordered(x, core) for x in xs):
+        return fn(*xs)
+    outs = [np.empty(shape) for shape in shapes]
+
+    def work(s: slice) -> None:
+        part = tuple(out[s] for out in outs)
+        fn(*(x[s] if x.ndim == len(lead) and x.shape[0] == rows else x for x in xs),
+           out=part if len(part) > 1 else part[0])
+
+    _over_slabs(work, rows, k)
+    return tuple(outs) if len(outs) > 1 else outs[0]
+
+
+def _product_shape(a: tuple, b: tuple) -> tuple:
+    """The shape of ``a @ b`` for operands of shapes ``a`` and ``b``."""
+    return np.broadcast_shapes(a[:-2], b[:-2]) + (a[-2], b[-1])
+
+
+def _matmul(a: Array, b: Array) -> Array:
+    """``a @ b``, split over the batch axis."""
+    return _rowwise(np.matmul, (a, b), _product_shape(a.shape, b.shape), core=2)
+
 
 def _check_finite(arr: Array, op: str, inputs: tuple = ()) -> Array:
-    if not np.all(np.isfinite(arr)):
+    k = _slab_count(arr.shape[0] if arr.ndim else 0, arr.size)
+    if not (np.all(np.isfinite(arr)) if k == 1 else
+            all(_over_slabs(lambda s: np.isfinite(arr[s]).all(), arr.shape[0], k))):
         shapes = [str(t.shape) for t in inputs]
         source = f"'{op}'"
         if len(shapes) == 1:
@@ -190,7 +361,7 @@ def _binary(a, b, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-    out_data = fwd(a.data, b.data)
+    out_data = _rowwise(fwd, (a.data, b.data), np.broadcast_shapes(a.shape, b.shape))
 
     def vjp(grad: Array):
         return (None if const_a else _unbroadcast(vjp_a(grad, a.data, b.data), a.shape),
@@ -200,24 +371,24 @@ def _binary(a, b, op: str, fwd, vjp_a, vjp_b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, "add", lambda x, y: x + y,
+    return _binary(a, b, "add", np.add,
                    lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y,
+    return _binary(a, b, "sub", np.subtract,
                    lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", lambda x, y: x * y,
+    return _binary(a, b, "mul", np.multiply,
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def _quiet_div(x, y):
+def _quiet_div(x, y, out=None):
     # non-finite results raise NumericsError; keep numpy's warning quiet
     with np.errstate(divide="ignore", invalid="ignore"):
-        return x / y
+        return np.divide(x, y, out=out)
 
 
 def div(a, b) -> Tensor:
@@ -237,10 +408,12 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
 def _matmul_vjp(grad: Array, a: Array, b: Array, const_a: bool,
                 const_b: bool) -> tuple[Array | None, Array | None]:
     def grad_a():
-        return None if const_a else _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+        return None if const_a else _unbroadcast(_matmul(grad, np.swapaxes(b, -1, -2)),
+                                                 a.shape)
 
     def grad_b():
-        return None if const_b else _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+        return None if const_b else _unbroadcast(_matmul(np.swapaxes(a, -1, -2), grad),
+                                                 b.shape)
 
     # The gradient summed over broadcast axes (an affine weight) is reduced
     # before the other one is allocated: one batched temporary at a time.
@@ -259,7 +432,7 @@ def matmul(a, b) -> Tensor:
     const_a, const_b = not isinstance(a, Tensor), not isinstance(b, Tensor)
     a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b, "matmul")
-    out_data = a.data @ b.data
+    out_data = _matmul(a.data, b.data)
 
     def vjp(grad: Array):
         return _matmul_vjp(grad, a.data, b.data, const_a, const_b)
@@ -277,11 +450,17 @@ def affine(x, w, b) -> Tensor:
     const_x, const_w, const_b = (not isinstance(t, Tensor) for t in (x, w, b))
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w, "affine")
-    out_data = x.data @ w.data
-    if b.ndim > out_data.ndim or any(n not in (1, m) for n, m in
-                                     zip(b.shape[::-1], out_data.shape[::-1])):
-        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {out_data.shape}")
-    out_data += b.data
+    shape = _product_shape(x.shape, w.shape)
+    if b.ndim > len(shape) or any(n not in (1, m) for n, m in
+                                  zip(b.shape[::-1], shape[::-1])):
+        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {shape}")
+
+    def product(x: Array, w: Array, b: Array, out: Array | None = None) -> Array:
+        out = np.matmul(x, w, out=out)
+        out += b
+        return out
+
+    out_data = _rowwise(product, (x.data, w.data, b.data), shape, core=2)
 
     def vjp(grad: Array):
         return _matmul_vjp(grad, x.data, w.data, const_x, const_w) + (
@@ -342,7 +521,12 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         g = grad if keepdims else np.expand_dims(grad, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp, "sum")
+    if x.ndim > 1 and axis in (-1, x.ndim - 1):  # per row: splits over axis 0
+        data = _rowwise(lambda x, out=None: x.sum(axis=-1, keepdims=keepdims, out=out),
+                        (x.data,), x.shape[:-1] + (1,) * keepdims)
+    else:
+        data = x.data.sum(axis=axis, keepdims=keepdims)
+    return _node(data, (x,), vjp, "sum")
 
 
 def mean_last_axis(x) -> Tensor:
@@ -379,22 +563,30 @@ def gelu(x) -> Tensor:
     ``grad * (cdf + x * pdf)``.
     """
     x = as_tensor(x)
-    cdf = x.data * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
 
-    def vjp(grad: Array):
-        pdf = -0.5 * x.data
-        pdf *= x.data
+    def value(x: Array, out=(None, None)) -> tuple[Array, Array]:
+        cdf = np.multiply(x, _INV_SQRT2, out=out[1])
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        return np.multiply(x, cdf, out=out[0]), cdf
+
+    def slope(grad: Array, x: Array, cdf: Array, out: Array | None = None) -> Array:
+        pdf = np.multiply(-0.5, x, out=out)
+        pdf *= x
         np.exp(pdf, out=pdf)
         pdf *= _INV_SQRT2PI
-        pdf *= x.data
+        pdf *= x
         pdf += cdf
         pdf *= grad
-        return (pdf,)
+        return pdf
 
-    return _node(x.data * cdf, (x,), vjp)
+    out_data, cdf = _rowwise(value, (x.data,), x.shape, x.shape)
+
+    def vjp(grad: Array):
+        return (_rowwise(slope, (grad, x.data, cdf), x.shape),)
+
+    return _node(out_data, (x,), vjp)
 
 
 def _softmax_in_place(scaled: Array) -> Array:
@@ -408,15 +600,18 @@ def _softmax_in_place(scaled: Array) -> Array:
     return scaled
 
 
-def _softmax_vjp(grad: Array, out: Array, scale: float) -> Array:
-    """Gradient of ``softmax(x * scale)`` w.r.t. ``x`` from its output, in one
-    buffer with ``scale`` applied last."""
-    g = grad * out
-    inner = g.sum(axis=-1, keepdims=True)
-    np.subtract(grad, inner, out=g)
-    g *= out
-    g *= scale
-    return g
+def _softmax_vjp(grad: Array, y: Array, scale: float) -> Array:
+    """Gradient of ``softmax(x * scale)`` w.r.t. ``x`` from its output ``y``,
+    in one buffer with ``scale`` applied last."""
+    def rows(grad: Array, y: Array, out: Array | None = None) -> Array:
+        g = np.multiply(grad, y, out=out)
+        inner = g.sum(axis=-1, keepdims=True)
+        np.subtract(grad, inner, out=g)
+        g *= y
+        g *= scale
+        return g
+
+    return _rowwise(rows, (grad, y), np.broadcast_shapes(grad.shape, y.shape))
 
 
 def softmax_last_axis(x) -> Tensor:
@@ -474,9 +669,14 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     k_t = np.swapaxes(kh, -1, -2)
     scale = 1.0 / np.sqrt(d // n_heads)
-    w = _check_finite(qh @ k_t, "matmul", (q, k))
-    w *= scale
-    _softmax_in_place(w)
+
+    def core(qh: Array, k_t: Array, vh: Array, out=(None, None)) -> tuple[Array, Array]:
+        w = _check_finite(np.matmul(qh, k_t, out=out[0]), "matmul", (q, k))
+        w *= scale
+        _softmax_in_place(w)
+        return w, np.matmul(w, vh, out=out[1])
+
+    w, wv = _rowwise(core, (qh, k_t, vh), qh.shape[:-1] + (qh.shape[-2],), qh.shape, core=2)
 
     def vjp(grad: Array):
         g_w, g_v = _matmul_vjp(heads(grad), w, vh, False, const_v)
@@ -485,7 +685,7 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
         return tuple(None if g is None else merge(g) for g in (g_q, g_k, g_v))
 
     # The last arithmetic step is the product with v.
-    return _node(merge(w @ vh), (q, k, v), vjp, "matmul")
+    return _node(merge(wv), (q, k, v), vjp, "matmul")
 
 
 def concat_last_axis(parts: Iterable) -> Tensor:
@@ -503,7 +703,11 @@ def concat_last_axis(parts: Iterable) -> Tensor:
     def vjp(grad: Array):
         return tuple(np.split(grad, splits, axis=-1))
 
-    return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
+    def join(*xs: Array, out: Array | None = None) -> Array:
+        return np.concatenate(xs, axis=-1, out=out)
+
+    data = _rowwise(join, [p.data for p in parts], lead + (sum(widths),))
+    return _node(data, tuple(parts), vjp)
 
 
 def slice_last_axis(x, start: int, stop: int) -> Tensor:
@@ -541,7 +745,7 @@ def gather_rows(table, ids: Array) -> Tensor:
 
     def vjp(grad: Array):
         g = np.zeros((n_rows, table.shape[1]))
-        np.add.at(g, ids.reshape(-1), grad.reshape(-1, table.shape[1]))
+        np.add.at(g, ids.reshape(-1), grad.reshape(ids.size, table.shape[1]))
         return (g,)
 
     return _node(table.data[ids], (table,), vjp)
@@ -627,7 +831,8 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
                 pkey = id(parent)
                 if pgrad is None or not (parent._parents or pkey in wanted):
                     continue
-                grads[pkey] = grads[pkey] + pgrad if pkey in grads else pgrad
+                grads[pkey] = (_rowwise(np.add, (grads[pkey], pgrad), pgrad.shape)
+                               if pkey in grads else pgrad)
         node._parents, node._vjp = (), _consumed
 
     record: dict[str, Array] = {}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, asdict
 
@@ -117,18 +116,6 @@ def _gather(bundle: DatasetBundle, t0s: np.ndarray, t_in: int,
     return stats.apply(x)[..., None], acc, reg
 
 
-def _thread_count() -> int:
-    """Worker threads for evaluation from ``CONFORMER_THREADS`` (default 1)."""
-    raw = os.environ.get("CONFORMER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"CONFORMER_THREADS must be an integer >= 1, got {raw!r}")
-    return n
-
-
 def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
                     windows, stats: NormalizationStats,
                     batch_size: int = 64) -> np.ndarray:
@@ -139,23 +126,16 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    nm.thread_count()  # a bad CONFORMER_THREADS is refused whatever the sizes
     cfg = params.cfg
-    n_workers = _thread_count()
     t0s = np.asarray(windows)  # window_block checks each batch before its int64 cast
-    batches = [t0s[i:i + batch_size] for i in range(0, len(t0s), batch_size)]
-
-    def run(starts: np.ndarray) -> np.ndarray:
+    out = []
+    for i in range(0, len(t0s), batch_size):
+        starts = t0s[i:i + batch_size]
         x, acc, reg = _gather(bundle, starts, cfg.t_in, stats)
         with nm.no_tape():
             pred = forward(x, acc, reg, starts, bundle.graph, params, cfg)
-        return stats.invert(pred.data)
-
-    if n_workers > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            out = list(pool.map(run, batches))
-    else:
-        out = [run(starts) for starts in batches]
+        out.append(stats.invert(pred.data))
     return np.concatenate(out, axis=0) if out else np.zeros((0, cfg.t_out, cfg.n_nodes, 1))
 
 
@@ -218,6 +198,7 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
     history, and the normalization stats (fit on the train split only).
     Fully deterministic for a fixed seed.
     """
+    nm.thread_count()  # a bad CONFORMER_THREADS is refused before any work
     split = split or chronological_split(bundle.n_steps)
     train_windows, y_train = _split_windows(bundle, split, "train", cfg.t_in, cfg.t_out)
     val_windows, y_val = _split_windows(bundle, split, "val", cfg.t_in, cfg.t_out)

@@ -140,6 +140,19 @@ class TestTrain:
         assert resolved["model"]["n_nodes"] == 4
         assert resolved["train"]["seed"] == 3
 
+    @pytest.mark.parametrize("width", ["d_acc", "d_reg", "d_dow", "d_tod"])
+    def test_zero_width_embedding_trains(self, tmp_path, tiny_config, width):
+        data = synth_dir(tmp_path, tiny_config)
+        run = json.loads(read(tiny_config))
+        run["model"][width] = 0
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps(run))
+        out = tmp_path / "zero"
+        assert main(["train", "--data", data, "--config", str(config),
+                     "--seed", "3", "--out", str(out)]) == 0
+        params, _ = load_checkpoint(str(out / "checkpoint.cfmr"))
+        assert params[f"embed.{width[2:]}_table"].shape[1] == 0
+
     def test_rerun_identical_history(self, tmp_path, tiny_config):
         data = synth_dir(tmp_path, tiny_config)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

@@ -54,6 +54,7 @@ def test_traced_forward_backward_and_predict():
     x, acc, reg = trainer._gather(bundle, starts, cfg.t_in, stats)
     target = bundle.values[starts[:, None] + cfg.t_in + np.arange(cfg.t_out)][..., None]
 
+    nm.thread_count()  # the split workers start on first use, which rebinds nm._POOL
     before = conformer_namespaces()
     tracer = lt.Tracer()
     tracer.install()

@@ -2,19 +2,20 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conformer import numerics as nm
 from conformer.data import NormalizationStats, SynthConfig
 from conformer.embeddings import embed_all
 from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
-from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, count_params,
-                             estimate_flops, forward, init_params, load_checkpoint, param_spec,
-                             readout, save_checkpoint)
+from conformer.model import (ABLATIONS, ConFormerConfig, ConFormerParams, config_from_dict,
+                             count_params, estimate_flops, forward, init_params,
+                             load_checkpoint, param_spec, readout, save_checkpoint)
 from conformer.trainer import TrainConfig
 from oracles import reference_forward
 
@@ -274,6 +275,67 @@ def test_forward_matches_reference_model(data, t_in, n_nodes, d_model, n_heads, 
                                      if i != j and rng.random() < 0.4))
     out = forward(x, acc, reg, t0, graph, params, cfg).data
     assert nm.relative_error(out, reference_forward(x, acc, reg, t0, graph, params, cfg)) <= 1e-12
+
+
+def _drawn_model(data, rng, batch: int, **fixed):
+    """A config drawn over every accepted embedding width, zeros included,
+    its parameters perturbed by N(0, 0.2) so every generator head is live, and
+    a batch of random windows on a random graph."""
+    widths = {name: data.draw(st.integers(0, 2), label=name)
+              for name in ("d_data", "d_acc", "d_reg", "d_dow", "d_tod", "d_stae")}
+    assume(sum(widths.values()) >= 1)
+    t_in, n_nodes = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    steps_per_day = data.draw(st.integers(1, 6))
+    cfg = ConFormerConfig(
+        t_in=t_in, t_out=data.draw(st.integers(1, 3)), n_nodes=n_nodes,
+        d_in=data.draw(st.integers(1, 2)), **widths,
+        d_model=data.draw(st.sampled_from([4, 8])), k_hops=data.draw(st.integers(0, 2)),
+        n_heads=data.draw(st.sampled_from([1, 2])), n_layers=data.draw(st.integers(0, 2)),
+        steps_per_day=steps_per_day, start_weekday=data.draw(st.integers(0, 6)),
+        start_slot=data.draw(st.integers(0, steps_per_day - 1)),
+        n_acc_codes=data.draw(st.integers(1, 3)), n_reg_codes=data.draw(st.integers(1, 3)),
+        ablations=tuple(data.draw(st.sets(st.sampled_from(ABLATIONS)))), **fixed)
+    params = init_params(cfg, seed=0)
+    params.replace({name: t.data + rng.normal(0, 0.2, t.shape) for name, t in params.entries()})
+    lead = (batch,)
+    x = rng.normal(size=lead + (t_in, n_nodes, cfg.d_in))
+    acc = rng.integers(0, cfg.n_acc_codes, size=lead + (t_in, n_nodes))
+    reg = rng.integers(0, cfg.n_reg_codes, size=lead + (t_in, n_nodes))
+    t0 = rng.integers(0, 50, size=lead)
+    graph = GraphSpec(n_nodes, tuple((i, j, float(rng.uniform(0.1, 2.0)))
+                                     for i in range(n_nodes) for j in range(n_nodes)
+                                     if i != j and rng.random() < 0.4))
+    return cfg, params, (x, acc, reg, t0, graph)
+
+
+@pytest.mark.parametrize("split", ["default", "every-op-over-2"])
+@settings(max_examples=200, deadline=None,
+          # the fixture forces the split once, for every example alike
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), batch=st.integers(1, 2))
+def test_backward_matches_reference_gradient(force_split, split, data, batch):
+    """The assembled backward pass against ``oracles.reference_forward``:
+    ⟨gradient record, u⟩ for the smooth loss ⟨forward, c⟩ equals a 4-point
+    central difference of the reference along a random direction u."""
+    if split != "default":
+        force_split(2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    cfg, params, inputs = _drawn_model(data, rng, batch, dropout=0.0)
+    c = rng.normal(size=(batch, cfg.t_out, cfg.n_nodes, 1))
+    u = {name: rng.normal(size=t.shape) for name, t in params.entries()}
+    norm = np.sqrt(sum(float((a * a).sum()) for a in u.values()))
+    u = {name: a / norm for name, a in u.items()}  # a unit step keeps the stencil exact
+    record = nm.backward(nm.tsum(forward(*inputs, params, cfg) * c), dict(params.entries()))
+    along_u = sum(float((record[name] * u[name]).sum()) for name in u)
+
+    def loss_at(eps: float) -> float:
+        moved = ConFormerParams(cfg, OrderedDict(
+            (name, nm.Tensor(t.data + eps * u[name])) for name, t in params.entries()))
+        return float((reference_forward(*inputs, moved, cfg) * c).sum())
+
+    h = 1e-3
+    difference = (loss_at(-2 * h) - 8 * loss_at(-h) + 8 * loss_at(h) - loss_at(2 * h)) / (12 * h)
+    assert nm.relative_error(along_u, difference) <= 1e-8
 
 
 class TestCounting:

@@ -1,5 +1,10 @@
+import os
+import signal
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,3 +592,116 @@ def test_determinism_bit_identical():
         return out.data.tobytes()
 
     assert run() == run()
+
+
+def _split_ops(x, y, w, b):
+    """Every primitive that splits over axis 0, on ``[B, .., D]`` tensors."""
+    return {"add": x + y, "sub": x - y, "mul": x * y, "div": x / (y * y + 1.0),
+            "matmul": nm.matmul(x, w), "affine": nm.affine(x, w, b), "gelu": nm.gelu(x),
+            "spatial": nm.attention(x, y, x, 2, axis=-2),
+            "temporal": nm.attention(x, y, x, 2, axis=-3),
+            "concat": nm.concat_last_axis([x, y]), "sum": nm.tsum(x, axis=-1, keepdims=True)}
+
+
+def _split_record(transposed: bool):
+    """Bytes and strides of each op's output and of its VJP's gradients."""
+    rng = np.random.default_rng(8)
+    x, y = (rng.normal(size=(5, 3, 4, 6)) for _ in range(2))
+    if transposed:  # axes 1 and 2 swapped in memory: numpy keeps that layout
+        x, y = (np.swapaxes(np.swapaxes(a, 1, 2).copy(), 1, 2) for a in (x, y))
+    out = _split_ops(nm.Tensor(x), nm.Tensor(y), nm.Tensor(rng.normal(size=(6, 6))),
+                     nm.Tensor(rng.normal(size=6)))
+    record = {}
+    for name, node in out.items():
+        grads = node._vjp(rng.normal(size=node.shape))
+        record[name] = [(a.tobytes(), a.strides) for a in (node.data,) + grads
+                        if a is not None]
+    return record
+
+
+class TestSplit:
+    @pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bytes_and_layout_of_the_whole_op(self, threads, force_split, slabs,
+                                              transposed, workers):
+        threads(1)
+        whole = _split_record(transposed)
+        force_split(workers)
+        assert _split_record(transposed) == whole
+        # Transposed operands run whole where numpy's layout is not C order.
+        assert [work for work, _ in slabs].count("_rowwise.<locals>.work") >= 15
+
+    def test_one_row_and_2d_products_stay_whole(self, force_split, slabs):
+        """A value of one row is never split, nor the rows of a 2-D product
+        (whose finiteness check still splits: it reads, and writes nothing)."""
+        x, w, b = (nm.Tensor(np.ones(shape)) for shape in ((1, 3, 4, 6), (6, 2), (2,)))
+        a, c = nm.Tensor(np.ones((8, 6))), nm.Tensor(np.ones((6, 3)))
+        force_split(2)
+        slabs.clear()
+        nm.gelu(nm.affine(x, w, b) * x.data[..., :2])
+        assert slabs == []
+        nm.matmul(a, c)
+        assert slabs == [("_check_finite.<locals>.<lambda>", 2)]
+
+    def test_worker_error_is_the_callers_error(self, force_split):
+        """An inf in the last window's row is seen by a worker: it raises the
+        error of the whole op, under the caller's errstate, with no warning."""
+        force_split(2)
+        x = nm.Tensor(np.ones((4, 3, 5)))
+        x.data[3, 0, 0] = np.inf  # tensors are checked when built: plant it after
+        w = nm.Tensor(np.array([[1.0, -1.0] * 3] * 5))
+        args = (x, w, nm.Tensor(np.zeros(6)))
+        message = r"'affine' from inputs \(4, 3, 5\), \(5, 6\) and \(6,\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+                    NumericsError, match=message):
+                nm.affine(*args)
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                nm.affine(*args)
+
+    def test_forked_child_starts_its_own_workers(self, force_split):
+        force_split(2)
+        big = nm.Tensor(np.ones((2, 3)))
+        nm.add(big, big)  # this process's workers now exist
+        with warnings.catch_warnings():  # Python 3.12 on warns of forking with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: exit 0 once a split op has returned
+            os._exit(0 if nm.add(big, big).data.sum() == 12.0 else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_callers_each_get_their_own_bytes(self, threads, force_split):
+        """Four callers share four workers on two cores, with the interpreter
+        switching threads as often as it can: each caller's split ops give the
+        bytes of the whole ops."""
+        rng = np.random.default_rng(9)
+        xs = [nm.Tensor(rng.normal(size=(7, 3, 5))) for _ in range(4)]
+        w = nm.Tensor(rng.normal(size=(5, 5)))
+        threads(1)
+        whole = [nm.gelu(nm.matmul(x, w) * x).data.tobytes() for x in xs]
+        force_split(4)
+        wrong = []
+
+        def call(i: int) -> None:
+            for _ in range(50):
+                if nm.gelu(nm.matmul(xs[i], w) * xs[i]).data.tobytes() != whole[i]:
+                    wrong.append(i)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers) and wrong == []

@@ -358,18 +358,20 @@ class TestEvaluate:
         table = evaluate_historical_inertia(bundle, split, "test", 3, 3, [1])
         assert table["average"].mae == 0.0
 
-    def test_threaded_evaluation_matches_sequential(self, monkeypatch):
+    def test_threaded_evaluation_matches_sequential(self, threads, force_split, slabs):
         bundle = tiny_bundle()
         cfg = tiny_cfg(bundle)
         params = init_params(cfg, seed=2)
         split = chronological_split(bundle.n_steps)
         windows = make_windows(bundle, split.test, cfg.t_in, cfg.t_out)
         stats = NormalizationStats(50.0, 10.0)
-        assert len(windows) > 2   # at least two batches, so the pool runs
-        seq = predict_windows(params, bundle, windows, stats, batch_size=2)
-        monkeypatch.setenv("CONFORMER_THREADS", "3")
-        par = predict_windows(params, bundle, windows, stats, batch_size=2)
-        assert np.array_equal(seq, par)
+        assert len(windows) % 3 and len(windows) > 3  # uneven slabs at 3 threads
+        threads(1)
+        seq = predict_windows(params, bundle, windows, stats)
+        force_split(3)
+        par = predict_windows(params, bundle, windows, stats)
+        assert slabs and {k for _, k in slabs} == {3}
+        assert seq.tobytes() == par.tobytes()
 
     def test_batch_size_changes_no_byte(self):
         bundle = tiny_bundle()
@@ -418,10 +420,13 @@ class TestEvaluate:
             predict_windows(params, bundle, [0, start], NormalizationStats(50.0, 10.0))
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-2"])
-    def test_bad_thread_count_rejected(self, monkeypatch, value):
+    def test_bad_thread_count_rejected(self, threads, value):
+        """Refused on entry, though no op of one tiny window would split."""
         bundle = tiny_bundle()
         cfg = tiny_cfg(bundle)
         params = init_params(cfg, seed=2)
-        monkeypatch.setenv("CONFORMER_THREADS", value)
+        threads(value)
         with pytest.raises(ConfigError, match="CONFORMER_THREADS"):
-            predict_windows(params, bundle, [0, 1], NormalizationStats(50.0, 10.0))
+            predict_windows(params, bundle, [0], NormalizationStats(50.0, 10.0))
+        with pytest.raises(ConfigError, match="CONFORMER_THREADS"):
+            train(bundle, cfg, TrainConfig(max_epochs=1))
