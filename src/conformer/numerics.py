@@ -27,14 +27,23 @@ parameter, so the arithmetic primitives, ``matmul``, ``affine`` and
 ``attention`` give it no gradient (``None`` in its VJP slot) instead of a
 full-size product or reduction.
 
-``backward`` runs a node's VJP once a gradient has reached it, and keeps a
-parent's gradient only when the parent is an interior node or a requested
-parameter. It drops each interior gradient once its node's VJP has used it,
-and consumes the tape as it walks: a visited node loses its parents and its
-VJP, so each forward array is freed after the last VJP that reads it. A node
-with a VJP slot but no parents, consumed by an earlier ``backward`` or built
-under ``no_tape``, cannot be differentiated through: ``backward`` raises
-``ContractError`` on meeting one.
+A ``Tensor`` is its array and a tape record: the records of its parents, its
+VJP and its shape, and no array. A VJP keeps only the arrays it reads, never
+a ``Tensor``: ``add``, ``sub``, ``tsum`` and the structural primitives keep
+no operand, ``mul``, ``div``, ``matmul`` and ``affine`` keep an operand only
+while the other one's gradient is wanted, so a product with a constant keeps
+the constant alone. An array that no VJP reads, such as a residual sum or an
+attention output, is freed as soon as the caller drops its ``Tensor``, before
+``backward`` runs; one that a VJP reads lives until ``backward`` has run it.
+
+``backward`` walks the records. It runs a node's VJP once a gradient has
+reached it, and keeps a parent's gradient only when the parent is an interior
+node or a requested parameter. It drops each interior gradient once its
+node's VJP has used it, and consumes the tape as it walks: a visited record
+loses its parents and its VJP, so each forward array is freed after the last
+VJP that reads it. A node with a VJP slot but no parents, consumed by an
+earlier ``backward`` or built under ``no_tape``, cannot be differentiated
+through: ``backward`` raises ``ContractError`` on meeting one.
 
 Inside ``with no_tape():`` (per thread) a node keeps its data and its
 finiteness check but gets no parents, and a stub that raises stands in for
@@ -268,19 +277,42 @@ def _untaped(grad: Array):
     raise ContractError("this node was built under no_tape and has no VJP")
 
 
+class _Record:
+    """A node's place on the tape: its parents' records, the ``vjp`` callback
+    mapping its output gradient to per-parent gradients, and its shape. It
+    holds no array; the callback holds only the arrays it reads."""
+
+    __slots__ = ("_parents", "_vjp", "shape")
+
+    def __init__(self, parents: tuple, vjp: Callable | None, shape: tuple[int, ...]):
+        self._parents, self._vjp, self.shape = parents, vjp, shape
+
+
 class Tensor:
     """Immutable dense array node in the autodiff graph.
 
-    ``Tensor(values)`` builds a leaf; ``_node`` builds every interior node,
-    with its parents and a ``vjp`` callback mapping the output gradient to
-    per-parent gradients. ``data`` must never be mutated after construction.
+    ``Tensor(values)`` builds a leaf; ``_node`` builds every interior node.
+    ``_parents`` and ``_vjp`` read the node's tape record. ``data`` must never
+    be mutated after construction.
     """
 
-    __slots__ = ("data", "_parents", "_vjp")
+    __slots__ = ("data", "_record")
 
     def __init__(self, values):
         self.data = _check_finite(np.asarray(values, dtype=np.float64), "tensor")
-        self._parents, self._vjp = (), None
+        self._record = _Record((), None, self.data.shape)
+
+    @property
+    def _parents(self) -> tuple[_Record, ...]:
+        return self._record._parents
+
+    @property
+    def _vjp(self) -> Callable | None:
+        return self._record._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp: Callable) -> None:
+        self._record._vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -320,7 +352,8 @@ def as_tensor(x) -> Tensor:
 
 
 def _node(data, parents: tuple, vjp: Callable, op: str | None = None) -> Tensor:
-    """The output of a primitive; under ``no_tape`` it keeps no parents.
+    """The output of a primitive, recorded with its parents' records; under
+    ``no_tape`` it keeps no parents.
 
     A named ``op`` is checked for finiteness. ``op=None`` skips the check, for
     a structural primitive, which only rearranges values of finite parents,
@@ -332,8 +365,9 @@ def _node(data, parents: tuple, vjp: Callable, op: str | None = None) -> Tensor:
     if op is not None:
         _check_finite(node.data, op, parents)
     if getattr(_TAPE, "off", False):
-        parents, vjp = (), _untaped
-    node._parents, node._vjp = parents, vjp
+        node._record = _Record((), _untaped, node.data.shape)
+    else:
+        node._record = _Record(tuple(p._record for p in parents), vjp, node.data.shape)
     return node
 
 
@@ -355,17 +389,28 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
-def _binary(a, b, op: str, fwd, vjp_a, vjp_b) -> Tensor:
+def _binary(a, b, op: str, fwd, vjp_a, vjp_b, reads=((), ())) -> Tensor:
+    """``fwd(a, b)`` as a node whose VJP maps ``(grad, x, y)`` to each
+    operand's gradient by ``vjp_a`` and ``vjp_b``.
+
+    ``reads`` lists the operands, 0 for ``x`` and 1 for ``y``, that each of
+    the two reads. The VJP keeps an operand's data only while a gradient that
+    reads it is wanted, and passes ``None`` in its place otherwise.
+    """
     # A plain array or scalar operand is a constant: it gets no gradient.
     const_a, const_b = not isinstance(a, Tensor), not isinstance(b, Tensor)
     a, b = as_tensor(a), as_tensor(b)
     if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
     out_data = _rowwise(fwd, (a.data, b.data), np.broadcast_shapes(a.shape, b.shape))
+    kept = set(() if const_a else reads[0]) | set(() if const_b else reads[1])
+    x = a.data if 0 in kept else None
+    y = b.data if 1 in kept else None
+    shape_a, shape_b = a.shape, b.shape
 
     def vjp(grad: Array):
-        return (None if const_a else _unbroadcast(vjp_a(grad, a.data, b.data), a.shape),
-                None if const_b else _unbroadcast(vjp_b(grad, a.data, b.data), b.shape))
+        return (None if const_a else _unbroadcast(vjp_a(grad, x, y), shape_a),
+                None if const_b else _unbroadcast(vjp_b(grad, x, y), shape_b))
 
     return _node(out_data, (a, b), vjp, op)
 
@@ -382,7 +427,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, "mul", np.multiply,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, reads=((1,), (0,)))
 
 
 def _quiet_div(x, y, out=None):
@@ -393,7 +438,8 @@ def _quiet_div(x, y, out=None):
 
 def div(a, b) -> Tensor:
     return _binary(a, b, "div", _quiet_div,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y),
+                   reads=((1,), (0, 1)))
 
 
 def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
@@ -405,19 +451,22 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: batch dims differ, {a.shape} vs {b.shape}")
 
 
-def _matmul_vjp(grad: Array, a: Array, b: Array, const_a: bool,
-                const_b: bool) -> tuple[Array | None, Array | None]:
+def _matmul_vjp(grad: Array, a: Array | None, b: Array | None, shape_a: tuple,
+                shape_b: tuple) -> tuple[Array | None, Array | None]:
+    """The gradients of ``a @ b`` for operands of shapes ``shape_a`` and
+    ``shape_b``. Only ``b``'s gradient reads ``a``, and only ``a``'s reads
+    ``b``: ``a=None`` means ``b`` gets no gradient, and ``b=None`` ``a``."""
     def grad_a():
-        return None if const_a else _unbroadcast(_matmul(grad, np.swapaxes(b, -1, -2)),
-                                                 a.shape)
+        return None if b is None else _unbroadcast(_matmul(grad, np.swapaxes(b, -1, -2)),
+                                                   shape_a)
 
     def grad_b():
-        return None if const_b else _unbroadcast(_matmul(np.swapaxes(a, -1, -2), grad),
-                                                 b.shape)
+        return None if a is None else _unbroadcast(_matmul(np.swapaxes(a, -1, -2), grad),
+                                                   shape_b)
 
     # The gradient summed over broadcast axes (an affine weight) is reduced
     # before the other one is allocated: one batched temporary at a time.
-    if a.shape[:-2] != grad.shape[:-2]:
+    if shape_a[:-2] != grad.shape[:-2]:
         ga = grad_a()
         return ga, grad_b()
     gb = grad_b()
@@ -433,9 +482,11 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b, "matmul")
     out_data = _matmul(a.data, b.data)
+    kept_a, kept_b = None if const_b else a.data, None if const_a else b.data
+    shape_a, shape_b = a.shape, b.shape
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, a.data, b.data, const_a, const_b)
+        return _matmul_vjp(grad, kept_a, kept_b, shape_a, shape_b)
 
     return _node(out_data, (a, b), vjp, "matmul")
 
@@ -461,10 +512,12 @@ def affine(x, w, b) -> Tensor:
         return out
 
     out_data = _rowwise(product, (x.data, w.data, b.data), shape, core=2)
+    kept_x, kept_w = None if const_w else x.data, None if const_x else w.data
+    shape_x, shape_w, shape_b = x.shape, w.shape, b.shape
 
     def vjp(grad: Array):
-        return _matmul_vjp(grad, x.data, w.data, const_x, const_w) + (
-            None if const_b else _unbroadcast(grad, b.shape),)
+        return _matmul_vjp(grad, kept_x, kept_w, shape_x, shape_w) + (
+            None if const_b else _unbroadcast(grad, shape_b),)
 
     return _node(out_data, (x, w, b), vjp, "affine")
 
@@ -472,16 +525,23 @@ def affine(x, w, b) -> Tensor:
 def transpose(x, axes: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
+    try:
+        data = x.data.transpose(axes)
+    except ValueError as exc:  # numpy's AxisError is one too
+        raise DimensionError(
+            f"transpose: axes {axes} are no permutation of the axes of {x.shape}") from exc
     inv = tuple(np.argsort(axes))
 
     def vjp(grad: Array):
         return (grad.transpose(inv),)
 
-    return _node(x.data.transpose(axes), (x,), vjp)
+    return _node(data, (x,), vjp)
 
 
 def moveaxis(x, src: int, dst: int) -> Tensor:
     x = as_tensor(x)
+    if not (-x.ndim <= src < x.ndim and -x.ndim <= dst < x.ndim):
+        raise DimensionError(f"moveaxis: axis {src} or {dst} out of range for {x.shape}")
     axes = list(range(x.ndim))
     axes.insert(dst % x.ndim, axes.pop(src % x.ndim))
     return transpose(x, axes)
@@ -491,11 +551,15 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape)
     old = x.shape
+    try:
+        data = x.data.reshape(shape)
+    except ValueError as exc:
+        raise DimensionError(f"reshape: cannot reshape {old} to {shape}") from exc
 
     def vjp(grad: Array):
         return (grad.reshape(old),)
 
-    return _node(x.data.reshape(shape), (x,), vjp)
+    return _node(data, (x,), vjp)
 
 
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
@@ -525,7 +589,10 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         data = _rowwise(lambda x, out=None: x.sum(axis=-1, keepdims=keepdims, out=out),
                         (x.data,), x.shape[:-1] + (1,) * keepdims)
     else:
-        data = x.data.sum(axis=axis, keepdims=keepdims)
+        try:
+            data = x.data.sum(axis=axis, keepdims=keepdims)
+        except ValueError as exc:  # numpy's AxisError is one too
+            raise DimensionError(f"tsum: axis {axis} out of range for {x.shape}") from exc
     return _node(data, (x,), vjp, "sum")
 
 
@@ -548,9 +615,10 @@ def sqrt(x) -> Tensor:
 
 def absolute(x) -> Tensor:
     x = as_tensor(x)
+    x_data = x.data
 
     def vjp(grad: Array):
-        return (grad * np.sign(x.data),)
+        return (grad * np.sign(x_data),)
 
     return _node(np.abs(x.data), (x,), vjp)
 
@@ -582,9 +650,10 @@ def gelu(x) -> Tensor:
         return pdf
 
     out_data, cdf = _rowwise(value, (x.data,), x.shape, x.shape)
+    x_data = x.data
 
     def vjp(grad: Array):
-        return (_rowwise(slope, (grad, x.data, cdf), x.shape),)
+        return (_rowwise(slope, (grad, x_data, cdf), x_data.shape),)
 
     return _node(out_data, (x,), vjp)
 
@@ -652,6 +721,8 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     if axis not in (-2, -3):
         raise ContractError(f"attention: axis must be -2 (nodes) or -3 (time), got {axis}")
     d = q.shape[-1]
+    if n_heads < 1:
+        raise ContractError(f"attention: n_heads must be >= 1, got {n_heads} for inputs {q.shape}")
     if d % n_heads != 0:
         raise DimensionError(f"feature width {d} not divisible by {n_heads} heads")
     # ``heads`` gives views with the strides the chain gave BLAS. ``merge``
@@ -677,10 +748,14 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
         return w, np.matmul(w, vh, out=out[1])
 
     w, wv = _rowwise(core, (qh, k_t, vh), qh.shape[:-1] + (qh.shape[-2],), qh.shape, core=2)
+    # The weights and v are read by every gradient, q only by k's, k by q's.
+    kept_qh, kept_kt = None if const_k else qh, None if const_q else k_t
+    shape_qh, shape_kt = qh.shape, k_t.shape
 
     def vjp(grad: Array):
-        g_w, g_v = _matmul_vjp(heads(grad), w, vh, False, const_v)
-        g_q, g_kt = _matmul_vjp(_softmax_vjp(g_w, w, scale), qh, k_t, const_q, const_k)
+        g_w, g_v = _matmul_vjp(heads(grad), None if const_v else w, vh, w.shape, vh.shape)
+        g_q, g_kt = _matmul_vjp(_softmax_vjp(g_w, w, scale), kept_qh, kept_kt,
+                                shape_qh, shape_kt)
         g_k = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
         return tuple(None if g is None else merge(g) for g in (g_q, g_k, g_v))
 
@@ -692,6 +767,9 @@ def concat_last_axis(parts: Iterable) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_last_axis: need at least one part")
+    if any(p.ndim == 0 for p in parts):
+        raise DimensionError(
+            f"concat_last_axis: a 0-d part has no last axis, shapes {[p.shape for p in parts]}")
     lead = parts[0].shape[:-1]
     for p in parts[1:]:
         if p.shape[:-1] != lead:
@@ -741,11 +819,11 @@ def gather_rows(table, ids: Array) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DimensionError(
             f"gather_rows: id out of range [0, {table.shape[0]}) in lookup")
-    n_rows = table.shape[0]
+    n_rows, width = table.shape
 
     def vjp(grad: Array):
-        g = np.zeros((n_rows, table.shape[1]))
-        np.add.at(g, ids.reshape(-1), grad.reshape(ids.size, table.shape[1]))
+        g = np.zeros((n_rows, width))
+        np.add.at(g, ids.reshape(-1), grad.reshape(ids.size, width))
         return (g,)
 
     return _node(table.data[ids], (table,), vjp)
@@ -785,7 +863,8 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     an interior node or a requested parameter. Interior gradients are dropped
     once used; only the parameters' gradients are kept, leaves or not.
 
-    The tape is consumed once: each interior node, once visited, loses its
+    The walk is over tape records, and gradients are keyed by record. The
+    tape is consumed once: each interior record, once visited, loses its
     parents and its VJP (a stub that raises takes its place), so every
     forward array is freed after the last VJP that reads it. ``backward``
     raises ``ContractError`` on a node with a VJP slot but no parents: one
@@ -794,9 +873,9 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
 
-    topo: list[Tensor] = []
+    topo: list[_Record] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Record, bool]] = [(loss._record, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -818,8 +897,8 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
     # Parents precede children in ``topo``. Every child of ``topo[i]`` comes
     # after it, so once the walk has cleared those children and its own
     # slot, nothing on the tape holds the node.
-    wanted = {id(p) for p in params.values()}
-    grads: dict[int, Array] = {id(loss): np.ones(loss.shape)}
+    wanted = {id(p._record) for p in params.values()}
+    grads: dict[int, Array] = {id(loss._record): np.ones(loss.shape)}
     for i in range(len(topo) - 1, -1, -1):
         node, topo[i] = topo[i], None
         if not node._parents:
@@ -835,15 +914,15 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, Array]:
                                if pkey in grads else pgrad)
         node._parents, node._vjp = (), _consumed
 
-    record: dict[str, Array] = {}
+    result: dict[str, Array] = {}
     for name, p in params.items():
-        g = grads.get(id(p))
-        record[name] = np.zeros(p.shape) if g is None else np.asarray(g)
-        if record[name].shape != p.shape:
+        g = grads.get(id(p._record))
+        result[name] = np.zeros(p.shape) if g is None else np.asarray(g)
+        if result[name].shape != p.shape:
             raise ContractError(
-                f"backward: gradient shape {record[name].shape} != param "
+                f"backward: gradient shape {result[name].shape} != param "
                 f"shape {p.shape} for '{name}'")
-    return record
+    return result
 
 
 def relative_error(a: Array, b: Array) -> float:

@@ -102,19 +102,34 @@ def test_traced_synth_builds_one_operator_per_event():
     assert tracer.calls["graph.normalize_adjacency"] == events > 0
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_setup_runs(workload):
-    """``perfbench/run.py --setup-only`` builds each workload from ``src/``, so
-    a change there that breaks the benchmark's imports or set-up fails here."""
+def run_benchmark(workload: str, *flags: str) -> dict:
+    """The JSON line of ``perfbench/run.py`` on ``workload`` with seed 1 and
+    no timed loop; ``.perfbench-out/`` is removed after unless it existed."""
     out_dir = ROOT / ".perfbench-out"
     existed = out_dir.exists()
     try:
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-             "--seed", "1", "--seconds", "0", "--setup-only"],
+             "--seed", "1", "--seconds", "0", *flags],
             cwd=ROOT, capture_output=True, text=True, timeout=300)
     finally:
         if not existed:
             shutil.rmtree(out_dir, ignore_errors=True)
     assert proc.returncode == 0, proc.stderr
-    assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_setup_runs(workload):
+    """``perfbench/run.py --setup-only`` builds each workload from ``src/``, so
+    a change there that breaks the benchmark's imports or set-up fails here."""
+    assert "setup_s" in run_benchmark(workload, "--setup-only")
+
+
+def test_traced_train_run_keeps_its_tape():
+    """``perfbench/run.py --trace 1`` on train-n30 walks ``_parents`` and wraps
+    ``_vjp`` of every node of a real training step. Its tape stays at 127
+    nodes: the same graph, so the same order of gradient accumulation."""
+    result = run_benchmark("train-n30", "--trace", "1")
+    assert result["correct"], result
+    assert result["metrics"]["numerics.tape_nodes"]["value"] == 127

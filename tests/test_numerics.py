@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ class TestConcatSlice:
                                  nm.Tensor(np.zeros((3, 3)))])
 
 
+_BAD_STRUCTURAL_CALLS = {  # case: (input shape, call, error, message)
+    "moveaxis-out-of-range": ((2, 3), lambda x: nm.moveaxis(x, 0, 5), DimensionError,
+                              r"moveaxis: axis 0 or 5 out of range for \(2, 3\)"),
+    "zero-heads": ((2, 3, 4), lambda x: nm.attention(x, x, x, 0, axis=-2), ContractError,
+                   r"attention: n_heads must be >= 1, got 0 for inputs \(2, 3, 4\)"),
+    "negative-heads": ((2, 3, 4), lambda x: nm.attention(x, x, x, -2, axis=-2), ContractError,
+                       r"attention: n_heads must be >= 1, got -2 for inputs \(2, 3, 4\)"),
+    "reshape-size": ((2, 3), lambda x: nm.reshape(x, (5, 5)), DimensionError,
+                     r"reshape: cannot reshape \(2, 3\) to \(5, 5\)"),
+    "transpose-repeated": ((2, 3), lambda x: nm.transpose(x, (0, 0)), DimensionError,
+                           r"transpose: axes \(0, 0\) are no permutation .* \(2, 3\)"),
+    "tsum-axis": ((2, 3), lambda x: nm.tsum(x, axis=2), DimensionError,
+                  r"tsum: axis 2 out of range for \(2, 3\)"),
+    "concat-0d": ((2, 3), lambda x: nm.concat_last_axis([x, nm.Tensor(1.0)]), DimensionError,
+                  r"concat_last_axis: a 0-d part .* \[\(2, 3\), \(\)\]"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_STRUCTURAL_CALLS)
+def test_bad_structural_argument_names_op_and_shapes(case):
+    shape, call, error, match = _BAD_STRUCTURAL_CALLS[case]
+    with pytest.raises(error, match=match):
+        call(nm.Tensor(np.ones(shape)))
+
+
 class TestAffine:
     @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
     def test_matches_matmul_add_bitwise(self, x_shape):
@@ -241,9 +267,9 @@ def _backward_peak_bytes(depth: int, size: int = 10**6) -> int:
 def _affine_chain_backward(depth: int, shape=(16, 128, 128)) -> dict[str, float]:
     """tracemalloc figures of ``backward`` over a ``depth``-layer affine chain.
 
-    Returned in units of one ``shape`` array: the tape before ``backward``,
-    the peak above it, and what is live above the leaves when the first
-    layer's VJP runs, the last one the walk reaches.
+    Returned in units of one ``shape`` array: the tape above the leaves
+    before ``backward``, the peak above the tape, and what is live above the
+    leaves when the first layer's VJP runs, the last one the walk reaches.
     """
     rng = np.random.default_rng(0)
     k = shape[-1]
@@ -274,7 +300,7 @@ def _affine_chain_backward(depth: int, shape=(16, 128, 128)) -> dict[str, float]
     finally:
         tracemalloc.stop()
     unit = 8 * np.prod(shape)
-    return {"tape": tape / unit, "peak_above_tape": (peak - tape) / unit,
+    return {"tape": (tape - leaves) / unit, "peak_above_tape": (peak - tape) / unit,
             "live_at_first": (live[0] - leaves) / unit}
 
 
@@ -318,14 +344,49 @@ class TestBackward:
         assert deep < shallow + 8 * 10**6, (shallow, deep)
 
     def test_consumed_tape_freed_as_walked(self):
-        # The tape is 12 arrays above its leaves. The peak adds the incoming
-        # gradient and one more array: the weight gradient's batched product
-        # is reduced before the input gradient is allocated. By the first
-        # layer, the walk has freed every later layer's output.
+        # The tape is 11 arrays above its leaves: every layer's output but the
+        # last, which only ``tsum`` takes, and its VJP keeps no operand. The peak
+        # adds the incoming gradient and one more array: the weight
+        # gradient's batched product is reduced before the input gradient is
+        # allocated. By the first layer, the walk has freed every later
+        # layer's output.
         figures = _affine_chain_backward(12)
-        assert figures["tape"] > 12, figures
+        assert 11 < figures["tape"] < 11.5, figures
         assert figures["peak_above_tape"] < 2.5, figures
         assert figures["live_at_first"] < 3.0, figures
+
+    def test_intermediate_no_vjp_reads_freed_before_backward(self):
+        p, q = nm.Tensor(np.ones((2, 3))), nm.Tensor(np.full((2, 3), 2.0))
+        h = p * 3.0
+        ref = weakref.ref(h.data)
+        loss = nm.tsum(nm.concat_last_axis([h + q, h]))
+        assert ref() is not None
+        del h
+        assert ref() is None
+        record = nm.backward(loss, {"p": p, "q": q})
+        assert np.array_equal(record["p"], np.full((2, 3), 6.0))
+        assert np.array_equal(record["q"], np.ones((2, 3)))
+
+    def test_intermediate_a_vjp_reads_lives_until_that_vjp_runs(self):
+        p, q = nm.Tensor(np.ones((2, 3))), nm.Tensor(np.full((2, 3), 2.0))
+        h = p * 3.0
+        ref = weakref.ref(h.data)
+        prod = h * q  # q's gradient reads h
+        alive = []
+
+        def probing(vjp):
+            def probe(grad):
+                alive.append(ref() is not None)
+                return vjp(grad)
+            return probe
+
+        prod._vjp = probing(prod._vjp)
+        loss = nm.tsum(prod)
+        del h, prod
+        assert ref() is not None
+        record = nm.backward(loss, {"p": p, "q": q})
+        assert alive == [True] and ref() is None
+        assert np.array_equal(record["q"], np.full((2, 3), 3.0))
 
     def test_second_backward_rejected(self):
         p = nm.Tensor([1.0, -2.0])
@@ -437,7 +498,7 @@ class TestNoTape:
             with nm.no_tape():
                 with nm.no_tape():
                     nm.div(p, 0.0)
-        assert (p * 2.0)._parents[0] is p
+        assert (p * 2.0)._parents[0] is p._record
         with nm.no_tape():
             with pytest.raises(NumericsError):
                 with nm.no_tape():

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from conformer import numerics as nm
 from conformer import trainer
 from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig,
-                            chronological_split, make_windows, synth_generate)
+                            chronological_split, make_windows, synth_generate,
+                            window_block)
 from conformer.errors import ConfigError, ValidationError
 from conformer.graph import GraphSpec
 from conformer.model import (ABLATIONS, ConFormerConfig, config_from_dict, forward,
@@ -36,8 +38,9 @@ def tiny_cfg(bundle, **kw):
 
 
 def _topo(loss):
-    """Every node that reaches ``loss``, parents before children."""
-    topo, seen, stack = [], set(), [(loss, False)]
+    """The tape record of every node that reaches ``loss``, parents before
+    children."""
+    topo, seen, stack = [], set(), [(loss._record, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -54,9 +57,11 @@ def _topo(loss):
 
 
 def _reachability(topo, wanted):
-    """The ids of nodes that reach a parameter, and of those whose VJP feeds one.
+    """The ids of records that reach a parameter, and of those whose VJP feeds
+    one.
 
-    A node reaches a parameter when it is one or one of its parents does.
+    A record reaches a parameter when it is a parameter's record or one of
+    its parents reaches one.
     """
     reaches, flows = set(), set()
     for node in topo:
@@ -76,9 +81,9 @@ def reference_backward(loss, params):
     bitwise.
     """
     topo = _topo(loss)
-    wanted = {id(p) for p in params.values()}
+    wanted = {id(p._record) for p in params.values()}
     reaches, flows = _reachability(topo, wanted)
-    grads = {id(loss): np.ones(loss.shape)}
+    grads = {id(loss._record): np.ones(loss.shape)}
     for node in reversed(topo):
         key = id(node)
         if key not in flows or key not in grads:
@@ -89,7 +94,8 @@ def reference_backward(loss, params):
             if pgrad is None or pkey not in reaches:
                 continue
             grads[pkey] = grads[pkey] + pgrad if pkey in grads else pgrad
-    return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in params.items()}
+    return {name: grads.get(id(p._record), np.zeros(p.shape))
+            for name, p in params.items()}
 
 
 def training_graph(ablation):
@@ -272,11 +278,44 @@ class TestTraining:
         # model puts no Tensor-wrapped constant on its path.
         loss, named = training_graph(ablation)
         topo = _topo(loss())
-        reaches, _ = _reachability(topo, {id(p) for p in named.values()})
+        reaches, _ = _reachability(topo, {id(p._record) for p in named.values()})
         interior = [node for node in topo if node._parents]
         assert len(interior) > 50
         off_path = [node.shape for node in interior if id(node) not in reaches]
         assert off_path == []
+
+    def test_criterion_8_step_tape_and_backward_peak(self):
+        """The criterion-8 step (B=64, N=30, D=32, K=2, 4 heads) keeps a tape
+        of about 318 MiB after forward, and ``backward`` peaks at about 336
+        MiB: a VJP keeps only the arrays it reads. While each node held its
+        parents' arrays they read 416 and 449 MiB."""
+        bundle = synth_generate(SynthConfig(n_nodes=30, days=2, interval_minutes=5,
+                                            topology="ring", incident_rate=0.3), seed=1)
+        cfg = ConFormerConfig(t_in=12, t_out=12, n_nodes=30, d_in=1, d_model=32, k_hops=2,
+                              n_heads=4, n_layers=1, dropout=0.1,
+                              steps_per_day=bundle.steps_per_day,
+                              n_acc_codes=len(bundle.acc_vocab),
+                              n_reg_codes=len(bundle.reg_vocab))
+        params = init_params(cfg, seed=0)
+        stats = NormalizationStats(50.0, 10.0)
+        t0s = np.arange(64) * 4
+        x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
+        y = window_block(bundle.values, t0s, cfg.t_in, cfg.t_out)[..., None]
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            pred = forward(x, acc, reg, t0s, bundle.graph, params, cfg,
+                           dropout_rng=np.random.default_rng(0))
+            loss = masked_mae_loss(pred, y, stats)
+            del pred
+            tape = tracemalloc.get_traced_memory()[0] / mib
+            tracemalloc.reset_peak()
+            nm.backward(loss, dict(params.entries()))
+            peak = tracemalloc.get_traced_memory()[1] / mib
+        finally:
+            tracemalloc.stop()
+        assert 250 < tape < 367, tape
+        assert peak < 392, peak
 
     def test_attention_gradients_zero_at_fresh_init(self):
         """alpha = 0 blocks the branch, so attention projections get exactly
