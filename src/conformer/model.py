@@ -271,6 +271,13 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec, params: ConFormerParams,
     is ``[T', N, 1]`` (or ``[B, T', N, 1]``). The propagation operator is
     built from ``graph`` once its node count matches the config. Pass
     ``dropout_rng`` only during training; inference is deterministic.
+
+    Each stage's output is dropped after its last reader: a layer's two
+    blocks scope their stages, the branch outputs are arguments of the call
+    that reads them, and a layer's input goes once its attention residual
+    exists. Only the condition features ``x_c`` live through the layer. So
+    an array no VJP reads, and under ``nm.no_tape`` every array, is freed as
+    the pass moves on.
     """
     if x.ndim not in (3, 4):
         raise DimensionError(f"input must be [.., T, N, D_in], got {x.shape}")
@@ -291,30 +298,47 @@ def forward(x, acc_ids, reg_ids, t0, graph: GraphSpec, params: ConFormerParams,
         reg_ids = np.zeros_like(reg_ids)
 
     h = embed_all(x, acc_ids, reg_ids, t0, params, cfg.calendar())
-
     for i in range(cfg.n_layers):
         p = f"layer{i}."
         x_c = propagate(h, op, cfg.k_hops)
-        f_c = _ablate(cfg, params, p + "ln1", generate_factors(x_c, params, p + "gen_c"))
-        f_f = _ablate(cfg, params, p + "ln2", generate_factors(x_c, params, p + "gen_f"))
-
-        x_gln = gln(h, f_c, cfg.eps)
-        q, k, v = conditional_qkv(x_gln, x_c, params, p + "attn")
-        x_sp = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-spatial")
-                else spatial_attention(q, k, v, cfg.n_heads))
-        x_te = (nm.Tensor(np.zeros(q.shape)) if cfg.ablated("no-temporal")
-                else temporal_attention(q, k, v, cfg.n_heads))
-        x_att = fuse(x_sp, x_te, params, p + "attn.fuse")
-        x_att = _dropout(x_att, cfg.dropout, dropout_rng)
-        x_res = modulated_residual(h, x_att, f_c.alpha)
-
-        x_gln2 = gln(x_res, f_f, cfg.eps)
-        hidden = nm.gelu(nm.affine(x_gln2, params[p + "ff.w1"], params[p + "ff.b1"]))
-        x_ff = nm.affine(hidden, params[p + "ff.w2"], params[p + "ff.b2"])
-        x_ff = _dropout(x_ff, cfg.dropout, dropout_rng)
-        h = modulated_residual(x_res, x_ff, f_f.alpha)
-
+        h = _attention_block(h, x_c, params, cfg, p, dropout_rng)
+        h = _feed_forward_block(h, x_c, params, cfg, p, dropout_rng)
     return readout(h, params, cfg)
+
+
+def _attend(attend, q: nm.Tensor, k: nm.Tensor, v: nm.Tensor, cfg: ConFormerConfig,
+            flag: str) -> nm.Tensor:
+    """``attend(q, k, v)``, or zeros when the ``flag`` ablation removes it."""
+    return nm.Tensor(np.zeros(q.shape)) if cfg.ablated(flag) else attend(q, k, v, cfg.n_heads)
+
+
+def _attention_block(h: nm.Tensor, x_c: nm.Tensor, params: ConFormerParams,
+                     cfg: ConFormerConfig, p: str,
+                     dropout_rng: np.random.Generator | None) -> nm.Tensor:
+    """``h + alpha_c * Dropout(Fuse(SA, TA))`` over GLN(h) and the condition
+    features ``x_c``; the branches are arguments of ``fuse``, so they are
+    dropped once fused."""
+    f_c = _ablate(cfg, params, p + "ln1", generate_factors(x_c, params, p + "gen_c"))
+    q, k, v = conditional_qkv(gln(h, f_c, cfg.eps), x_c, params, p + "attn")
+    x = fuse(_attend(spatial_attention, q, k, v, cfg, "no-spatial"),
+             _attend(temporal_attention, q, k, v, cfg, "no-temporal"),
+             params, p + "attn.fuse")
+    x = _dropout(x, cfg.dropout, dropout_rng)
+    return modulated_residual(h, x, f_c.alpha)
+
+
+def _feed_forward_block(h: nm.Tensor, x_c: nm.Tensor, params: ConFormerParams,
+                        cfg: ConFormerConfig, p: str,
+                        dropout_rng: np.random.Generator | None) -> nm.Tensor:
+    """``h + alpha_f * Dropout(FF(GLN(h)))``; each stage rebinds ``x``, so
+    its input is dropped once read."""
+    f_f = _ablate(cfg, params, p + "ln2", generate_factors(x_c, params, p + "gen_f"))
+    x = gln(h, f_f, cfg.eps)
+    x = nm.affine(x, params[p + "ff.w1"], params[p + "ff.b1"])
+    x = nm.gelu(x)
+    x = nm.affine(x, params[p + "ff.w2"], params[p + "ff.b2"])
+    x = _dropout(x, cfg.dropout, dropout_rng)
+    return modulated_residual(h, x, f_f.alpha)
 
 
 def readout(h: nm.Tensor, params: ConFormerParams, cfg: ConFormerConfig) -> nm.Tensor:

@@ -17,10 +17,11 @@ tape instead of two, with the gradients of the matmul-plus-add composite.
 ``attention(q, k, v, n_heads, axis)`` is multi-head softmax attention over
 the node or the time axis as one node, bitwise equal to the chain of head
 split, ``matmul``, ``softmax_last_axis``, ``matmul`` and head merge. The
-scores are scaled and softmaxed in their own buffer, so a call keeps one
-``[.., L, L]`` array per head, on the tape and at peak. Its weights, a softmax
-of checked scores, lie in [0, 1] and are not checked. ``softmax_last_axis``
-and ``gelu`` likewise work in one buffer per pass.
+scores are scaled and softmaxed in their own buffer, so a call holds one
+``[.., L, L]`` array per head at peak, and the tape holds none: the VJP
+recomputes the weights from q and k. Its weights, a softmax of checked
+scores, lie in [0, 1] and are not checked. ``softmax_last_axis`` and
+``gelu`` likewise work in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
 parameter, so the arithmetic primitives, ``matmul``, ``affine`` and
@@ -32,9 +33,13 @@ VJP and its shape, and no array. A VJP keeps only the arrays it reads, never
 a ``Tensor``: ``add``, ``sub``, ``tsum`` and the structural primitives keep
 no operand, ``mul``, ``div``, ``matmul`` and ``affine`` keep an operand only
 while the other one's gradient is wanted, so a product with a constant keeps
-the constant alone. An array that no VJP reads, such as a residual sum or an
-attention output, is freed as soon as the caller drops its ``Tensor``, before
-``backward`` runs; one that a VJP reads lives until ``backward`` has run it.
+the constant alone. A VJP rebuilds what is cheap to: ``gelu`` keeps one
+array, its slope, computed in the forward pass, and ``attention`` keeps q, k
+and v and recomputes its weights. ``slice_last_axis`` returns its own array,
+so a narrow slice does not keep the whole operand alive. An array that no
+VJP reads, such as a residual sum or an attention output, is freed as soon
+as the caller drops its ``Tensor``, before ``backward`` runs; one that a VJP
+reads lives until ``backward`` has run it.
 
 ``backward`` walks the records. It runs a node's VJP once a gradient has
 reached it, and keeps a parent's gradient only when the parent is an interior
@@ -90,6 +95,9 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # An op with fewer output elements than this runs whole: below it, handing a
 # slab to a worker costs more than the worker saves.
 _SPLIT_FLOOR = 1 << 15
+
+# Elements per block of a pass that works a cache-sized block at a time.
+_BLOCK = 1 << 15
 
 _POOL_LOCK = threading.Lock()
 _POOL: tuple | None = None  # (slabs, task queue), made once per process
@@ -623,37 +631,60 @@ def absolute(x) -> Tensor:
     return _node(np.abs(x.data), (x,), vjp)
 
 
+def _add_x_pdf(x: Array, cdf: Array) -> None:
+    """``cdf += x * pdf(x)`` in place, turning GELU's ``cdf`` into its slope.
+
+    It runs over blocks of whole rows of axis 0, about ``_BLOCK`` elements
+    each, so one small ``pdf`` temporary is live at a time, with the op order
+    of ``cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi))``. Past ``|x|`` about
+    1.3e154, ``x * x`` overflows to ``inf``: ``pdf`` is then 0 and the slope
+    ``cdf``, so the overflow is not reported."""
+    step = max(1, _BLOCK // (math.prod(x.shape[1:]) or 1))
+    with np.errstate(over="ignore"):
+        for lo in range(0, x.shape[0], step):
+            xb = x[lo:lo + step]
+            pdf = np.multiply(-0.5, xb)
+            pdf *= xb
+            np.exp(pdf, out=pdf)
+            pdf *= _INV_SQRT2PI
+            pdf *= xb
+            cdf[lo:lo + step] += pdf
+
+
 def gelu(x) -> Tensor:
     """Exact (erf-based) GELU; smooth, so finite differences stay honest.
 
-    Each pass works in one buffer (``cdf`` forward, ``pdf`` in the VJP) with
-    the op order of ``0.5 * (1 + erf(x / sqrt 2))`` and
-    ``grad * (cdf + x * pdf)``.
+    The forward pass works in one buffer, ``cdf``, with the op order of
+    ``0.5 * (1 + erf(x / sqrt 2))``. When taped, it then turns that buffer
+    into the slope ``cdf + x * pdf`` (``_add_x_pdf``), the one array the VJP
+    keeps: the gradient is ``grad * slope``. Under ``no_tape`` no slope is
+    computed, and the output ``x * cdf`` takes ``cdf``'s buffer.
     """
     x = as_tensor(x)
 
-    def value(x: Array, out=(None, None)) -> tuple[Array, Array]:
-        cdf = np.multiply(x, _INV_SQRT2, out=out[1])
+    def cdf_of(x: Array, out: Array | None = None) -> Array:
+        cdf = np.multiply(x, _INV_SQRT2, out=out)
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
-        return np.multiply(x, cdf, out=out[0]), cdf
+        return cdf
 
-    def slope(grad: Array, x: Array, cdf: Array, out: Array | None = None) -> Array:
-        pdf = np.multiply(-0.5, x, out=out)
-        pdf *= x
-        np.exp(pdf, out=pdf)
-        pdf *= _INV_SQRT2PI
-        pdf *= x
-        pdf += cdf
-        pdf *= grad
-        return pdf
+    def value(x: Array, out: Array | None = None) -> Array:
+        cdf = cdf_of(x, out)
+        return np.multiply(x, cdf, out=cdf)
 
-    out_data, cdf = _rowwise(value, (x.data,), x.shape, x.shape)
-    x_data = x.data
+    def value_and_slope(x: Array, out=(None, None)) -> tuple[Array, Array]:
+        cdf = cdf_of(x, out[1])
+        y = np.multiply(x, cdf, out=out[0])
+        _add_x_pdf(x, cdf)
+        return y, cdf
+
+    if getattr(_TAPE, "off", False):
+        return _node(_rowwise(value, (x.data,), x.shape), (x,), _untaped)
+    out_data, slope = _rowwise(value_and_slope, (x.data,), x.shape, x.shape)
 
     def vjp(grad: Array):
-        return (_rowwise(slope, (grad, x_data, cdf), x_data.shape),)
+        return (_rowwise(np.multiply, (grad, slope), slope.shape),)
 
     return _node(out_data, (x,), vjp)
 
@@ -707,10 +738,12 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     One node, bitwise equal to the chain of head split, ``matmul``,
     ``softmax_last_axis``, ``matmul`` and head merge, forward and VJP. The
     scores are scaled and softmaxed in their own buffer, so a call holds one
-    ``[..., H, L, L]`` array. They are checked as ``'matmul'`` before the
-    softmax, which would turn a ``-inf`` score into a finite 0 weight. The
-    weights of finite scores lie in [0, 1] and need no check; the product
-    with v is checked. A plain-array operand gets no gradient.
+    ``[..., H, L, L]`` array, and the tape none: the VJP recomputes the
+    weights with the same ops over the same slabs, so bitwise. The scores are
+    checked as ``'matmul'`` before the softmax, which would turn a ``-inf``
+    score into a finite 0 weight. The weights of finite scores lie in [0, 1]
+    and need no check; the product with v is checked. A plain-array operand
+    gets no gradient.
     """
     const_q, const_k, const_v = (not isinstance(t, Tensor) for t in (q, k, v))
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -740,22 +773,27 @@ def attention(q, k, v, n_heads: int, axis: int) -> Tensor:
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     k_t = np.swapaxes(kh, -1, -2)
     scale = 1.0 / np.sqrt(d // n_heads)
+    w_shape = qh.shape[:-1] + (qh.shape[-2],)
+
+    def softmaxed(w: Array) -> Array:
+        w *= scale
+        return _softmax_in_place(w)
 
     def core(qh: Array, k_t: Array, vh: Array, out=(None, None)) -> tuple[Array, Array]:
-        w = _check_finite(np.matmul(qh, k_t, out=out[0]), "matmul", (q, k))
-        w *= scale
-        _softmax_in_place(w)
+        w = softmaxed(_check_finite(np.matmul(qh, k_t, out=out[0]), "matmul", (q, k)))
         return w, np.matmul(w, vh, out=out[1])
 
-    w, wv = _rowwise(core, (qh, k_t, vh), qh.shape[:-1] + (qh.shape[-2],), qh.shape, core=2)
-    # The weights and v are read by every gradient, q only by k's, k by q's.
-    kept_qh, kept_kt = None if const_k else qh, None if const_q else k_t
-    shape_qh, shape_kt = qh.shape, k_t.shape
+    def weights(qh: Array, k_t: Array, out: Array | None = None) -> Array:
+        return softmaxed(np.matmul(qh, k_t, out=out))
 
+    wv = _rowwise(core, (qh, k_t, vh), w_shape, qh.shape, core=2)[1]
+
+    # The VJP keeps q, k and v, and recomputes the weights from q and k.
     def vjp(grad: Array):
-        g_w, g_v = _matmul_vjp(heads(grad), None if const_v else w, vh, w.shape, vh.shape)
-        g_q, g_kt = _matmul_vjp(_softmax_vjp(g_w, w, scale), kept_qh, kept_kt,
-                                shape_qh, shape_kt)
+        w = _rowwise(weights, (qh, k_t), w_shape, core=2)
+        g_w, g_v = _matmul_vjp(heads(grad), None if const_v else w, vh, w_shape, vh.shape)
+        g_q, g_kt = _matmul_vjp(_softmax_vjp(g_w, w, scale), None if const_k else qh,
+                                None if const_q else k_t, qh.shape, k_t.shape)
         g_k = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
         return tuple(None if g is None else merge(g) for g in (g_q, g_k, g_v))
 
@@ -800,8 +838,9 @@ def slice_last_axis(x, start: int, stop: int) -> Tensor:
         full[..., start:stop] = grad
         return (full,)
 
-    # A view: ``x`` is on the tape already and tensor data is never mutated.
-    return _node(x.data[..., start:stop], (x,), vjp)
+    # A copy, not a view: a narrow slice, such as a generator's alpha, would
+    # otherwise keep the whole of ``x`` alive for as long as it lives.
+    return _node(x.data[..., start:stop].copy(order="K"), (x,), vjp)
 
 
 def gather_rows(table, ids: Array) -> Tensor:

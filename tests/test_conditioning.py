@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,27 @@ class TestGenerateFactors:
                   "g.out.b": nm.Tensor(np.zeros(5))}
         f = generate_factors(nm.Tensor(rng.normal(size=(2, 6))), params, "g")
         assert (f.gamma.shape, f.beta.shape, f.alpha.shape) == ((2, 2), (2, 2), (2, 1))
+
+    def test_generator_output_freed_once_factors_exist(self, monkeypatch):
+        # The factors own their arrays, so the [.., 2D + 1] output of the
+        # generator's head, read by no VJP, dies with generate_factors.
+        rng = np.random.default_rng(6)
+        gen = make_generator(rng, in_width=6, d_model=4, zero_head=False)
+        affine, outputs = nm.affine, []
+
+        def recording_affine(*args):
+            out = affine(*args)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(nm, "affine", recording_affine)
+        x_c = nm.Tensor(rng.normal(size=(2, 3, 6)))
+        f = generate_factors(x_c, gen, "g")
+        raw = outputs[-1]
+        assert len(outputs) == 2 and f.alpha.shape == (2, 3, 1)
+        assert raw() is None
+        grads = nm.backward(nm.tsum(f.gamma * f.beta * f.alpha), gen)
+        assert all(np.abs(g).max() > 0 for g in grads.values())
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(4)

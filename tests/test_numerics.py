@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import sys
@@ -141,18 +142,56 @@ class TestGelu:
         node = nm.gelu(nm.Tensor(x))
         assert node.data.tobytes() == (x * cdf).tobytes()
         assert node._vjp(grad)[0].tobytes() == (grad * (cdf + x * pdf)).tobytes()
+        with nm.no_tape():
+            assert nm.gelu(nm.Tensor(x)).data.tobytes() == (x * cdf).tobytes()
+
+    def test_vjp_keeps_one_array_of_the_input_size(self):
+        # The slope ``cdf + x * pdf``, in place of the input and ``cdf``: with
+        # the caller's input and the output dropped, one array stays.
+        rng, shape = np.random.default_rng(23), (64, 1000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = nm.Tensor(rng.normal(size=shape))
+            vjp = nm.gelu(x)._vjp
+            del x
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        size = 8 * math.prod(shape)
+        assert size <= held < 1.1 * size, held / size
+        assert vjp(np.ones(shape))[0].shape == shape
+
+
+_EXTREME = arrays(np.float64, array_shapes(max_dims=2, max_side=8),
+                  elements=st.one_of(st.sampled_from([-1e308, 0.0, 1e308]),
+                                     st.floats(-1e308, 1e308)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=arrays(np.float64, array_shapes(max_dims=2, max_side=8),
-                elements=st.one_of(st.sampled_from([-1e308, 0.0, 1e308]),
-                                   st.floats(-1e308, 1e308))))
+@given(x=_EXTREME)
 @example(x=np.array([1e308, -1e308, 5e-324]))
 def test_gelu_and_absolute_of_finite_input_are_finite(x):
     """Why ``gelu`` and ``absolute`` run no finiteness check: ``|x Φ(x)|``
     and ``|x|`` are at most ``|x|``, so finite input gives finite output."""
     for out in (nm.gelu(x).data, nm.absolute(x).data):
         assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= np.abs(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_EXTREME)
+@example(x=np.array([1e308, -1e308, 5e-324, 1.4e154]))
+def test_gelu_gradient_of_finite_input_is_finite_and_quiet(x):
+    """Past ``|x|`` about 1.3e154, ``x * x`` overflows in the slope's
+    ``pdf``; ``pdf`` is then 0, the slope is ``cdf``, and no warning is
+    raised (the suite turns warnings into errors)."""
+    p = nm.Tensor(x)
+    scale = 2.0 ** -20  # exact, and keeps the sum of up to 64 outputs finite
+    grad = nm.backward(nm.tsum(nm.gelu(p) * scale), {"p": p})["p"]
+    assert np.all(np.isfinite(grad))
+    big = np.abs(x) > 1e155
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    assert np.array_equal(grad[big], cdf[big] * scale)
 
 
 class TestMeanStd:
@@ -193,9 +232,13 @@ class TestConcatSlice:
         assert np.array_equal(nm.slice_last_axis(joined, 0, 3).data, a)
         assert np.array_equal(nm.slice_last_axis(joined, 3, 8).data, b)
 
-    def test_slice_is_a_view(self):
+    def test_slice_owns_its_array(self):
+        # A view would keep all of ``x`` alive for as long as the slice lives.
         x = nm.Tensor(np.arange(12.0).reshape(3, 4))
-        assert np.shares_memory(nm.slice_last_axis(x, 1, 3).data, x.data)
+        part = nm.slice_last_axis(x, 1, 3).data
+        assert not np.shares_memory(part, x.data)
+        assert part.base is None and part.flags.c_contiguous
+        assert np.array_equal(part, x.data[:, 1:3])
 
     def test_leading_shape_mismatch(self):
         with pytest.raises(DimensionError):

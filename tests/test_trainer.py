@@ -98,6 +98,19 @@ def reference_backward(loss, params):
             for name, p in params.items()}
 
 
+def criterion_8_model():
+    """A 2-day N=30 ring bundle and the criterion-8 model (D=32, K=2, 4
+    heads, dropout 0.1) at its initial parameters."""
+    bundle = synth_generate(SynthConfig(n_nodes=30, days=2, interval_minutes=5,
+                                        topology="ring", incident_rate=0.3), seed=1)
+    cfg = ConFormerConfig(t_in=12, t_out=12, n_nodes=30, d_in=1, d_model=32, k_hops=2,
+                          n_heads=4, n_layers=1, dropout=0.1,
+                          steps_per_day=bundle.steps_per_day,
+                          n_acc_codes=len(bundle.acc_vocab),
+                          n_reg_codes=len(bundle.reg_vocab))
+    return bundle, cfg, init_params(cfg, seed=0)
+
+
 def training_graph(ablation):
     """A loss builder and the parameters of the criterion-8 model at small
     widths: batched windows, K=2, 4 heads, dropout on, random weights so
@@ -286,17 +299,14 @@ class TestTraining:
 
     def test_criterion_8_step_tape_and_backward_peak(self):
         """The criterion-8 step (B=64, N=30, D=32, K=2, 4 heads) keeps a tape
-        of about 318 MiB after forward, and ``backward`` peaks at about 336
-        MiB: a VJP keeps only the arrays it reads. While each node held its
-        parents' arrays they read 416 and 449 MiB."""
-        bundle = synth_generate(SynthConfig(n_nodes=30, days=2, interval_minutes=5,
-                                            topology="ring", incident_rate=0.3), seed=1)
-        cfg = ConFormerConfig(t_in=12, t_out=12, n_nodes=30, d_in=1, d_model=32, k_hops=2,
-                              n_heads=4, n_layers=1, dropout=0.1,
-                              steps_per_day=bundle.steps_per_day,
-                              n_acc_codes=len(bundle.acc_vocab),
-                              n_reg_codes=len(bundle.reg_vocab))
-        params = init_params(cfg, seed=0)
+        of about 232 MiB after a forward pass that peaks at about 250 MiB,
+        and ``backward`` peaks at about 262 MiB: a VJP keeps only the arrays
+        it reads, rebuilds what is cheap to (GELU keeps its slope, attention
+        recomputes its weights), and ``forward`` drops each stage's output
+        after its last reader. While GELU kept its input and ``cdf``,
+        attention its weights, and a factor the generator output it was
+        sliced from, they read 318, 346 and 336 MiB."""
+        bundle, cfg, params = criterion_8_model()
         stats = NormalizationStats(50.0, 10.0)
         t0s = np.arange(64) * 4
         x, acc, reg = trainer._gather(bundle, t0s, cfg.t_in, stats)
@@ -308,14 +318,15 @@ class TestTraining:
                            dropout_rng=np.random.default_rng(0))
             loss = masked_mae_loss(pred, y, stats)
             del pred
-            tape = tracemalloc.get_traced_memory()[0] / mib
+            tape, forward_peak = (n / mib for n in tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
             nm.backward(loss, dict(params.entries()))
             peak = tracemalloc.get_traced_memory()[1] / mib
         finally:
             tracemalloc.stop()
-        assert 250 < tape < 367, tape
-        assert peak < 392, peak
+        assert 200 < tape < 275, tape
+        assert forward_peak < 298, forward_peak
+        assert peak < 299, peak
 
     def test_attention_gradients_zero_at_fresh_init(self):
         """alpha = 0 blocks the branch, so attention projections get exactly
@@ -424,6 +435,23 @@ class TestEvaluate:
         first, *rest = (predict_windows(params, bundle, windows, stats, batch_size=size)
                         for size in (1, 3, 64))
         assert all(pred.tobytes() == first.tobytes() for pred in rest)
+
+    def test_criterion_8_batch_prediction_peak(self):
+        """Prediction of one batch of 64 criterion-8 windows (N=30) peaks at
+        about 80 MiB: under ``no_tape`` ``forward`` frees each stage's output
+        after its last reader, and GELU writes its output over its ``cdf``.
+        While the stage outputs lived to the end of their layer it read 175."""
+        bundle, cfg, params = criterion_8_model()
+        stats = NormalizationStats(50.0, 10.0)
+        windows = np.arange(64) * 4
+        tracemalloc.start()
+        try:
+            pred = predict_windows(params, bundle, windows, stats)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (64, cfg.t_out, 30, 1)
+        assert 40 < peak < 128, peak
 
     def test_prediction_keeps_no_tape(self, monkeypatch):
         bundle = tiny_bundle()
