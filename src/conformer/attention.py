@@ -21,7 +21,7 @@ def conditional_qkv(x_gln: nm.Tensor, x_c: nm.Tensor, params,
 
 
 def spatial_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
-                      n_heads: int = 1) -> nm.Tensor:
+                      n_heads: int) -> nm.Tensor:
     """Full softmax attention over the node axis, per timestep and head.
 
     Inputs are ``[..., T, N, D]``; output has the same shape.
@@ -30,7 +30,7 @@ def spatial_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
 
 
 def temporal_attention(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
-                       n_heads: int = 1) -> nm.Tensor:
+                       n_heads: int) -> nm.Tensor:
     """Full softmax attention over the time axis, per node and head.
 
     Same contract as ``spatial_attention`` with the roles of T and N

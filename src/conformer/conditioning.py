@@ -43,7 +43,7 @@ def generate_factors(x_c: nm.Tensor, params, prefix: str) -> ConditionFactors:
     return ConditionFactors(gamma=gamma, beta=beta, alpha=alpha)
 
 
-def gln(x: nm.Tensor, f: ConditionFactors, eps: float = 1e-5) -> nm.Tensor:
+def gln(x: nm.Tensor, f: ConditionFactors, eps: float) -> nm.Tensor:
     """Guided layer normalization: ``gamma * (x - mu) / sigma + beta``.
 
     Statistics are per token over the feature axis; with gamma=1 and beta=0

@@ -113,6 +113,7 @@ class NormalizationStats:
 
 
 def fit_normalization(values: np.ndarray) -> NormalizationStats:
+    """Mean and std of every entry, missing zeros included, as DCRNN's scaler fits."""
     values = np.asarray(values, dtype=np.float64)
     std = float(values.std())
     return NormalizationStats(mean=float(values.mean()), std=std if std > 0 else 1.0)
@@ -141,9 +142,14 @@ def chronological_split(n_steps: int) -> SplitSpec:
                      test=(n_train + n_val, n_steps))
 
 
+def observed(y: np.ndarray) -> np.ndarray:
+    """Where ``y`` holds a reading: the loss and the metrics take a 0 as missing."""
+    return y != 0
+
+
 @dataclass(frozen=True)
 class MaskedMetrics:
-    """Masked MAE / RMSE / MAPE over entries with nonzero ground truth.
+    """Masked MAE / RMSE / MAPE over the ``observed`` entries of the ground truth.
 
     ``n_valid == 0`` is the explicit empty-mask signal; the metric fields are
     NaN in that case. MAPE is reported in percent.
@@ -160,7 +166,7 @@ def masked_metrics(y, y_hat) -> MaskedMetrics:
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise DimensionError(f"metric shapes differ: {y.shape} vs {y_hat.shape}")
-    mask = y != 0
+    mask = observed(y)
     n_valid = int(mask.sum())
     if n_valid == 0:
         return MaskedMetrics(math.nan, math.nan, math.nan, 0)
@@ -461,9 +467,16 @@ def load_dataset(data_dir) -> DatasetBundle:
 # -- synthetic generator ------------------------------------------------------
 
 
+# Synthetic speeds: the mean, the daily swing and the std of a node's offset.
+BASE_SPEED, DAILY_AMPLITUDE, NODE_OFFSET_SCALE = 60.0, 18.0, 4.0
+DROP_FACTOR = 0.45  # speed multiplier at the accident source
+CAP_FRACTION = 0.6  # speed ceiling fraction under regulation
+FOOTPRINT_HOPS, ATTENUATION = 2, 0.5  # the hops an impact spreads, its falloff per hop
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic incident-aware traffic generator."""
+    """Knobs for the synthetic traffic generator; the constants above fix its shape."""
 
     n_nodes: int = 30
     days: int = 14
@@ -471,15 +484,8 @@ class SynthConfig:
     topology: str = "ring"
     incident_rate: float = 0.2      # expected accidents per node per day
     regulation_rate: float = 0.0    # expected regulations per node per day
-    drop_factor: float = 0.45       # speed multiplier at the accident source
-    cap_fraction: float = 0.6       # speed ceiling fraction under regulation
-    decay_hops: int = 2
-    attenuation: float = 0.5        # per-hop impact falloff
     duration_steps: int = 12
     recovery_steps: int = 12
-    base_speed: float = 60.0
-    daily_amplitude: float = 18.0
-    node_offset_scale: float = 4.0
     noise_scale: float = 1.0
     start_weekday: int = 0
     start_slot: int = 0
@@ -495,17 +501,11 @@ class SynthConfig:
                             self.start_slot)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
-        if not 0.0 < self.drop_factor <= 1.0 or not 0.0 < self.cap_fraction <= 1.0:
-            raise ConfigError("drop_factor and cap_fraction must be in (0, 1]")
         if self.duration_steps < 0 or self.recovery_steps < 0:
             raise ConfigError("duration_steps and recovery_steps must be >= 0")
-        for name in ("incident_rate", "regulation_rate", "node_offset_scale", "noise_scale"):
+        for name in ("incident_rate", "regulation_rate", "noise_scale"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.decay_hops < 0:
-            raise ConfigError(f"decay_hops must be >= 0, got {self.decay_hops}")
-        if not 0.0 <= self.attenuation <= 1.0:
-            raise ConfigError(f"attenuation must be in [0, 1], got {self.attenuation}")
 
 
 def _ring_roads(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -544,9 +544,9 @@ GRAPH_BUILDERS = {"ring": _ring_roads, "grid": _grid_roads,
                   "random-geometric": _random_geometric_roads}
 
 
-def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
-                        attenuation: float) -> np.ndarray:
-    """Per-node impact weights: 1 at the source, attenuated per hop outward.
+def _incident_footprint(graph: GraphSpec, source: int) -> np.ndarray:
+    """Per-node impact weights: 1 at the source, ``ATTENUATION`` times less per
+    hop outward, for ``FOOTPRINT_HOPS`` hops.
 
     Spread follows the propagation operator so the footprint matches what the
     model's graph propagation can see.
@@ -555,8 +555,8 @@ def _incident_footprint(graph: GraphSpec, source: int, decay_hops: int,
     impact = np.zeros(graph.n_nodes)
     impact[source] = 1.0
     footprint = impact.copy()
-    for _ in range(decay_hops):
-        impact = attenuation * (op.T @ impact)
+    for _ in range(FOOTPRINT_HOPS):
+        impact = ATTENUATION * (op.T @ impact)
         footprint = np.maximum(footprint, impact)
     return footprint
 
@@ -574,9 +574,9 @@ def _event_profile(length: int, duration: int, recovery: int) -> np.ndarray:
 def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     """Deterministic synthetic bundle: daily sinusoid plus injected incidents.
 
-    Accidents multiply speeds by ``drop_factor`` at the source, attenuated
+    Accidents multiply speeds by ``DROP_FACTOR`` at the source, attenuated
     per hop over the footprint, recovering linearly. Regulations cap speeds
-    at a fraction of the node's base curve over the same kind of footprint.
+    at ``CAP_FRACTION`` of the node's base curve over the same kind of footprint.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -589,11 +589,11 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     roads = GRAPH_BUILDERS[gen.topology](n, graph_rng)
     graph = GraphSpec(n, tuple((a, b, 1.0) for i, j in roads for a, b in ((i, j), (j, i))))
 
-    node_offset = rng.normal(0.0, gen.node_offset_scale, size=n)
+    node_offset = rng.normal(0.0, NODE_OFFSET_SCALE, size=n)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
     tod = np.arange(t_total) % steps_per_day
     angle = 2.0 * np.pi * tod[:, None] / steps_per_day + phase[None, :]
-    base = gen.base_speed + node_offset[None, :] - gen.daily_amplitude * np.sin(angle)
+    base = BASE_SPEED + node_offset[None, :] - DAILY_AMPLITUDE * np.sin(angle)
     values = base + rng.normal(0.0, gen.noise_scale, size=(t_total, n))
 
     acc_ids = np.zeros((t_total, n), dtype=np.int64)
@@ -616,7 +616,7 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
     events.sort()
 
     for kind, node, t0, severity in events:
-        footprint = _incident_footprint(graph, node, gen.decay_hops, gen.attenuation)
+        footprint = _incident_footprint(graph, node)
         # Major accidents (severity 2) hit harder and linger longer, so the
         # severity code carries information the speed values alone cannot.
         duration = gen.duration_steps if severity == 1 else gen.duration_steps * 2
@@ -627,11 +627,11 @@ def synth_generate(gen: SynthConfig, seed: int) -> DatasetBundle:
         effect = profile[:, None] * footprint[None, :]
         marked = effect >= 0.05
         if kind == "acc":
-            drop = gen.drop_factor if severity == 1 else gen.drop_factor * 0.7
+            drop = DROP_FACTOR if severity == 1 else DROP_FACTOR * 0.7
             values[rows] *= 1.0 - (1.0 - drop) * effect
             ids = acc_ids[rows]
         else:
-            cap = base[rows] * (gen.cap_fraction + (1.0 - gen.cap_fraction) * (1.0 - effect))
+            cap = base[rows] * (CAP_FRACTION + (1.0 - CAP_FRACTION) * (1.0 - effect))
             values[rows] = np.minimum(values[rows], np.where(effect > 0, cap, np.inf))
             ids = reg_ids[rows]
         ids[marked] = np.maximum(ids[marked], severity)

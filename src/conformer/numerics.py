@@ -638,7 +638,8 @@ def _add_x_pdf(x: Array, cdf: Array) -> None:
     each, so one small ``pdf`` temporary is live at a time, with the op order
     of ``cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi))``. Past ``|x|`` about
     1.3e154, ``x * x`` overflows to ``inf``: ``pdf`` is then 0 and the slope
-    ``cdf``, so the overflow is not reported."""
+    ``cdf``, so the overflow is not reported. A 0-d input is one row."""
+    x, cdf = np.atleast_1d(x, cdf)  # views: the add still lands in ``cdf``
     step = max(1, _BLOCK // (math.prod(x.shape[1:]) or 1))
     with np.errstate(over="ignore"):
         for lo in range(0, x.shape[0], step):
@@ -663,7 +664,7 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
 
     def cdf_of(x: Array, out: Array | None = None) -> Array:
-        cdf = np.multiply(x, _INV_SQRT2, out=out)
+        cdf = np.asarray(np.multiply(x, _INV_SQRT2, out=out))  # a 0-d product is a scalar
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
@@ -868,7 +869,7 @@ def gather_rows(table, ids: Array) -> Tensor:
     return _node(table.data[ids], (table,), vjp)
 
 
-def mean_std_last_axis(x, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+def mean_std_last_axis(x, eps: float) -> tuple[Tensor, Tensor]:
     """Per-slice mean and std over the last axis.
 
     Uses population (biased) variance; ``std = sqrt(var + eps)`` so it is

@@ -11,30 +11,28 @@ import numpy as np
 from . import numerics as nm
 from .data import (DatasetBundle, MaskedMetrics, NormalizationStats, SplitSpec,
                    chronological_split, fit_normalization, make_windows,
-                   masked_metrics, window_block)
+                   masked_metrics, observed, window_block)
 from .errors import ConfigError
 from .model import ConFormerConfig, ConFormerParams, forward, init_params
+
+# Adam's decay rates and denominator floor, as Kingma & Ba (arXiv 1412.6980) set them.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``train`` section of a run config; Adam's other settings are constants."""
+
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 50
     patience: int = 20
     seed: int = 0
     clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("learning_rate", "adam_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         # AdamState.step compares against clip_norm ** 2, which must not overflow.
         if not 0 <= self.clip_norm <= math.sqrt(sys.float_info.max):
             raise ConfigError(f"clip_norm must be >= 0 with a finite square, got {self.clip_norm}")
@@ -61,7 +59,7 @@ class TrainResult:
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators."""
+    """Per-parameter first/second moments, decayed by ``ADAM_BETA1/2``."""
 
     def __init__(self, params: ConFormerParams):
         self.m = {name: np.zeros(t.shape) for name, t in params.entries()}
@@ -75,30 +73,29 @@ class AdamState:
         if tcfg.clip_norm > 0 and norm_sq > tcfg.clip_norm ** 2:
             scale = tcfg.clip_norm / math.sqrt(norm_sq)
         self.t += 1
-        bias1 = 1.0 - tcfg.beta1 ** self.t
-        bias2 = 1.0 - tcfg.beta2 ** self.t
+        bias1 = 1.0 - ADAM_BETA1 ** self.t
+        bias2 = 1.0 - ADAM_BETA2 ** self.t
         updates = {}
         for name, g in grads.items():
             g = g * scale
-            self.m[name] = tcfg.beta1 * self.m[name] + (1.0 - tcfg.beta1) * g
-            self.v[name] = tcfg.beta2 * self.v[name] + (1.0 - tcfg.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
             updates[name] = (params[name].data
-                             - tcfg.learning_rate * m_hat / (np.sqrt(v_hat) + tcfg.adam_eps))
+                             - tcfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         params.replace(updates)
 
 
 def masked_mae_loss(pred: nm.Tensor, target: np.ndarray,
                     stats: NormalizationStats) -> nm.Tensor | None:
-    """Masked MAE in original units; None when no target is nonzero.
+    """Masked MAE in original units; None when no target is ``observed``.
 
     ``pred`` is in normalized space and is denormalized inside the graph so
-    gradients flow; targets with value 0 are excluded, sharing the metric
-    mask.
+    gradients flow; missing targets are excluded, as in the metrics.
     """
     target = np.asarray(target, dtype=np.float64)
-    mask = (target != 0).astype(np.float64)
+    mask = observed(target).astype(np.float64)
     n_valid = mask.sum()
     if n_valid == 0:
         return None
@@ -141,7 +138,8 @@ def predict_windows(params: ConFormerParams, bundle: DatasetBundle,
 
 def historical_inertia(bundle: DatasetBundle, windows, t_in: int,
                        t_out: int) -> np.ndarray:
-    """Reference forecaster: repeat the last observed value across the horizon."""
+    """Reference forecaster: repeat each node's last input reading across the
+    horizon, a missing 0 included."""
     last = window_block(bundle.values, windows, t_in - 1, 1)     # [W, 1, N]
     return np.repeat(last[..., None], t_out, axis=1)
 
@@ -203,7 +201,7 @@ def train(bundle: DatasetBundle, cfg: ConFormerConfig, tcfg: TrainConfig,
     train_windows, y_train = _split_windows(bundle, split, "train", cfg.t_in, cfg.t_out)
     val_windows, y_val = _split_windows(bundle, split, "val", cfg.t_in, cfg.t_out)
     for name, y in (("train", y_train), ("val", y_val)):
-        if not y.any():
+        if not observed(y).any():
             raise ConfigError(f"split '{name}' has no observed target: every target "
                               "value of its windows is 0 (missing)")
 

@@ -108,10 +108,10 @@ def reference_forward(x, acc, reg, t0, graph: GraphSpec, params, cfg) -> np.ndar
             gamma, beta = p[ln + ".gamma"], p[ln + ".beta"]
         return gamma, beta, alpha
 
-    def gln(a, gamma, beta):
+    def gln(a, gamma, beta, eps):
         mu = a.mean(axis=-1, keepdims=True)
         var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-        return gamma * (a - mu) / np.sqrt(var + cfg.eps) + beta
+        return gamma * (a - mu) / np.sqrt(var + eps) + beta
 
     op = reference_operator(graph)
     for i in range(cfg.n_layers):
@@ -123,7 +123,7 @@ def reference_forward(x, acc, reg, t0, graph: GraphSpec, params, cfg) -> np.ndar
         gamma_c, beta_c, alpha_c = factors(x_c, layer + "gen_c", layer + "ln1")
         gamma_f, beta_f, alpha_f = factors(x_c, layer + "gen_f", layer + "ln2")
 
-        z = gln(h, gamma_c, beta_c)
+        z = gln(h, gamma_c, beta_c, cfg.eps)
         cond = np.concatenate([z, x_c], axis=-1)
         q = dense(z, layer + "attn.wq", layer + "attn.bq")
         k = dense(cond, layer + "attn.wk", layer + "attn.bk")
@@ -135,7 +135,7 @@ def reference_forward(x, acc, reg, t0, graph: GraphSpec, params, cfg) -> np.ndar
                     layer + "attn.fuse.w", layer + "attn.fuse.b")
         h = h + alpha_c * att
 
-        z = gln(h, gamma_f, beta_f)
+        z = gln(h, gamma_f, beta_f, cfg.eps)
         ff = dense(gelu(dense(z, layer + "ff.w1", layer + "ff.b1")),
                    layer + "ff.w2", layer + "ff.b2")
         h = h + alpha_f * ff

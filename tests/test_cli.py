@@ -535,6 +535,11 @@ BOUNDARY_PROBES = {
     "clip_norm-1e200": ({"train": {"clip_norm": 1e200}}, TRAIN, 1,
                         r"clip_norm must be >= 0 with a finite square, got 1e\+200"),
     "train-seed-negative": ({}, TRAIN + ["--seed", "-1"], 1, "seed >= 0"),
+    # Adam's constants and the generator's shape are fixed in code: one error line.
+    "train-beta1": ({"train": {"beta1": 0.9}}, TRAIN, 1,
+                    r"\Aerror: unknown train config keys: \['beta1'\]\n\Z"),
+    "synth-cap_fraction": ({"synth": {"cap_fraction": 0.6}}, SYNTH, 1,
+                           r"\Aerror: unknown synth config keys: \['cap_fraction'\]\n\Z"),
     "days-true": ({"synth": {"days": True}}, SYNTH, 1,
                   "synth config days must be an integer, got True"),
     "incident_rate-1e20": ({"synth": {"incident_rate": 1e20}}, SYNTH, 1,

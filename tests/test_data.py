@@ -15,6 +15,7 @@ from conformer.data import (DatasetBundle, NormalizationStats, SynthConfig, chro
                             window_block, windows_with_incidents)
 from conformer.errors import ConfigError, DimensionError, LoadError, ValidationError
 from conformer.graph import GraphSpec
+from conformer.model import config_from_dict
 
 
 def tiny_bundle():
@@ -340,6 +341,11 @@ class TestNormalization:
         stats = fit_normalization(bundle.values[lo:hi])
         assert stats.mean == bundle.values[lo:hi].mean()
 
+    def test_fit_counts_missing_zeros(self):
+        # Every entry counts, a missing 0 included, as in DCRNN's scaler.
+        stats = fit_normalization(np.array([[0.0, 2.0], [4.0, 6.0]]))
+        assert (stats.mean, stats.std) == (3.0, math.sqrt(5.0))
+
     @pytest.mark.parametrize("name", ["mean", "std"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, True,
                                        "1.0", None],
@@ -518,8 +524,7 @@ class TestSynthGenerate:
 
     def test_regulation_caps_speed(self):
         gen = SynthConfig(n_nodes=5, days=4, interval_minutes=30,
-                          incident_rate=0.0, regulation_rate=2.0,
-                          cap_fraction=0.5, noise_scale=0.2)
+                          incident_rate=0.0, regulation_rate=2.0, noise_scale=0.2)
         bundle = synth_generate(gen, seed=8)
         assert (bundle.reg_ids > 0).any()
         clean = synth_generate(
@@ -594,8 +599,20 @@ class TestSynthGenerate:
     ])
     def test_value_that_breaks_generation_rejected(self, field, value):
         # numpy would raise a bare ValueError, or the value would be ignored.
+        # node_offset_scale, decay_hops and attenuation are module constants:
+        # a config that sets one is refused as an unknown key.
         with pytest.raises(ConfigError, match=field):
-            SynthConfig(**{field: value})
+            config_from_dict(SynthConfig, {field: value}, "synth")
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_speed", 60.0), ("daily_amplitude", 18.0), ("node_offset_scale", 4.0),
+        ("drop_factor", 0.45), ("cap_fraction", 0.6), ("decay_hops", 2),
+        ("attenuation", 0.5),
+    ])
+    def test_fixed_shape_key_rejected(self, key, value):
+        # The generator's shape is fixed in code: even its own values are refused.
+        with pytest.raises(ConfigError, match=rf"unknown synth config keys: \['{key}'\]"):
+            config_from_dict(SynthConfig, {key: value}, "synth")
 
     def test_incident_window_filter(self):
         gen = SynthConfig(n_nodes=4, days=2, interval_minutes=30, incident_rate=2.0)

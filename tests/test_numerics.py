@@ -145,6 +145,19 @@ class TestGelu:
         with nm.no_tape():
             assert nm.gelu(nm.Tensor(x)).data.tobytes() == (x * cdf).tobytes()
 
+    @pytest.mark.parametrize("value", [-3.5, -0.7, 0.0, 1.0, 2.25])
+    def test_zero_dim_input_matches_reference_formula(self, value):
+        x = np.array(value)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+        p = nm.Tensor(value)
+        out = nm.gelu(p)
+        assert out.shape == () and out.data.tobytes() == (x * cdf).tobytes()
+        grad = nm.backward(out, {"p": p})["p"]
+        assert np.asarray(grad).tobytes() == (cdf + x * pdf).tobytes()
+        with nm.no_tape():
+            assert nm.gelu(nm.Tensor(value)).data.tobytes() == (x * cdf).tobytes()
+
     def test_vjp_keeps_one_array_of_the_input_size(self):
         # The slope ``cdf + x * pdf``, in place of the input and ``cdf``: with
         # the caller's input and the output dropped, one array stays.

@@ -51,7 +51,7 @@ def test_example_run_config_is_valid():
     assert set(raw) == {"synth", "model", "train"}
     resolve_model_config(raw["model"], None, [])
     config_from_dict(TrainConfig, raw["train"], "train")
-    SynthConfig(**raw["synth"])
+    config_from_dict(SynthConfig, raw["synth"], "synth")
 
 
 def test_layout_names_every_module():

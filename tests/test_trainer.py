@@ -147,8 +147,9 @@ class TestTrainConfig:
         ("clip_norm", 1e200), ("seed", -1),
     ])
     def test_value_that_breaks_a_run_rejected(self, field, value):
+        # adam_eps, beta1 and beta2 are module constants: refused as unknown keys.
         with pytest.raises(ConfigError, match=field):
-            TrainConfig(**{field: value})
+            config_from_dict(TrainConfig, {field: value}, "train")
 
     def test_zero_clip_norm_accepted(self):
         assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
@@ -157,9 +158,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="patience"):
             TrainConfig(patience=0)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(TrainConfig, {"momentum": 0.9}, "train")
+    # Adam's decay rates and floor are fixed in code: even their own values are refused.
+    @pytest.mark.parametrize("key, value", [("momentum", 0.9), ("beta1", 0.9),
+                                            ("beta2", 0.999), ("adam_eps", 1e-8)])
+    def test_unknown_key_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"unknown train config keys: \['{key}'\]"):
+            config_from_dict(TrainConfig, {key: value}, "train")
 
 
 class TestMaskedLoss:
@@ -267,6 +271,40 @@ class TestTraining:
         assert [loss is None for loss in losses].count(True) == 2  # once per epoch
         assert len(result.history) == 2
         assert all(np.isfinite([h.train_mae, h.val_mae]).all() for h in result.history)
+
+    def test_missing_readings_masked_end_to_end(self, monkeypatch):
+        """Zeros (missing) drive train, evaluate and HI: batches with no
+        observed target are skipped and ``n_valid`` leaves the zeros out."""
+        bundle = tiny_bundle()
+        cfg = tiny_cfg(bundle)
+        split = chronological_split(bundle.n_steps)
+        bundle.values[10:16] = 0.0     # every node: train windows 7-10 forecast only zeros
+        bundle.values[38:46, 1] = 0.0  # node 1 across the val/test boundary
+        losses = []
+
+        def recording_loss(*args):
+            losses.append(masked_mae_loss(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(trainer, "masked_mae_loss", recording_loss)
+        result = train(bundle, cfg, TrainConfig(batch_size=1, max_epochs=2, patience=5),
+                       split)
+        assert [loss is None for loss in losses].count(True) == 2 * 4
+        assert np.isfinite([(h.train_mae, h.val_mae) for h in result.history]).all()
+
+        lo, hi = split.test
+        targets = [bundle.values[t0 + cfg.t_in + h, n]
+                   for t0 in range(lo, hi - cfg.t_in - cfg.t_out + 1)
+                   for h in range(cfg.t_out) for n in range(bundle.n_nodes)]
+        expected = sum(v != 0.0 for v in targets)
+        assert 0 < expected < len(targets)
+        for table in (evaluate(result.params, bundle, split, "test", [1, 3], result.stats),
+                      evaluate_historical_inertia(bundle, split, "test", cfg.t_in,
+                                                  cfg.t_out, [1, 3])):
+            assert table["average"].n_valid == expected
+            assert all(np.isfinite([m.mae, m.rmse, m.mape]).all() for m in table.values())
+        # HI repeats the last input reading, a missing 0 included.
+        assert (historical_inertia(bundle, [lo], cfg.t_in, cfg.t_out)[0, :, 1] == 0.0).all()
 
     def test_split_too_short_rejected(self):
         bundle = tiny_bundle()
