@@ -32,10 +32,9 @@ def generate_factors(x_c: nm.Tensor, params, prefix: str) -> ConditionFactors:
     ``2*D + 1`` columns and starts at zero, and gamma carries a +1 offset, so
     a fresh generator gives gamma=1, beta=0, alpha=0 and GLN is plain layer norm.
     """
-    hidden = nm.gelu(nm.affine(x_c, params[f"{prefix}.hidden.w"],
-                               params[f"{prefix}.hidden.b"]))
+    hidden = nm.affine(x_c, params[f"{prefix}.hidden.w"], params[f"{prefix}.hidden.b"])
     out_w = params[f"{prefix}.out.w"]
-    raw = nm.affine(hidden, out_w, params[f"{prefix}.out.b"])
+    raw = nm.gelu_affine(hidden, out_w, params[f"{prefix}.out.b"])
     d = (out_w.shape[-1] - 1) // 2
     gamma = nm.slice_last_axis(raw, 0, d) + 1.0
     beta = nm.slice_last_axis(raw, d, 2 * d)
@@ -47,14 +46,14 @@ def gln(x: nm.Tensor, f: ConditionFactors, eps: float) -> nm.Tensor:
     """Guided layer normalization: ``gamma * (x - mu) / sigma + beta``.
 
     Statistics are per token over the feature axis; with gamma=1 and beta=0
-    this is exactly standard (affine-free) layer normalization.
+    this is exactly standard (affine-free) layer normalization. One node,
+    ``nm.gln``.
     """
     x = nm.as_tensor(x)
     if f.gamma.shape[-1] != x.shape[-1]:
         raise DimensionError(
             f"gamma width {f.gamma.shape[-1]} does not match features {x.shape[-1]}")
-    mean, std = nm.mean_std_last_axis(x, eps)
-    return f.gamma * ((x - mean) / std) + f.beta
+    return nm.gln(x, f.gamma, f.beta, eps)
 
 
 def modulated_residual(x_in: nm.Tensor, branch_out: nm.Tensor,

@@ -238,8 +238,7 @@ def _dropout(x: nm.Tensor, rate: float, rng: np.random.Generator | None) -> nm.T
     if rng is None or rate <= 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-    return x * mask
+    return nm.dropout(x, rng.random(x.shape) < keep, keep)
 
 
 def _ablate(cfg: ConFormerConfig, params: ConFormerParams, ln: str,

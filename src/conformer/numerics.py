@@ -13,6 +13,12 @@ magnitude.
 
 ``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
 tape instead of two, with the gradients of the matmul-plus-add composite.
+Three more nodes each replace a composite of the model, bitwise in value and
+in every gradient, and keep less on the tape than it did: ``gln(x, gamma,
+beta, eps)``, guided layer norm, in place of ``mean_std_last_axis`` and four
+arithmetic nodes; ``gelu_affine(h, w, b)``, a factor generator's head, in
+place of ``affine(gelu(h), w, b)``; and ``dropout(x, kept, keep)`` in place
+of ``x * (kept / keep)``.
 
 ``attention(q, k, v, n_heads, axis)`` is multi-head softmax attention over
 the node or the time axis as one node, bitwise equal to the chain of head
@@ -24,9 +30,9 @@ scores, lie in [0, 1] and are not checked. ``softmax_last_axis`` and
 ``gelu`` likewise work in one buffer per pass.
 
 An operand passed as a plain array or Python scalar can never be a
-parameter, so the arithmetic primitives, ``matmul``, ``affine`` and
-``attention`` give it no gradient (``None`` in its VJP slot) instead of a
-full-size product or reduction.
+parameter, so the arithmetic primitives, ``matmul``, ``affine``,
+``gelu_affine``, ``gln`` and ``attention`` give it no gradient (``None`` in
+its VJP slot) instead of a full-size product or reduction.
 
 A ``Tensor`` is its array and a tape record: the records of its parents, its
 VJP and its shape, and no array. A VJP keeps only the arrays it reads, never
@@ -34,8 +40,11 @@ a ``Tensor``: ``add``, ``sub``, ``tsum`` and the structural primitives keep
 no operand, ``mul``, ``div``, ``matmul`` and ``affine`` keep an operand only
 while the other one's gradient is wanted, so a product with a constant keeps
 the constant alone. A VJP rebuilds what is cheap to: ``gelu`` keeps one
-array, its slope, computed in the forward pass, and ``attention`` keeps q, k
-and v and recomputes its weights. ``slice_last_axis`` returns its own array,
+array, its slope, computed in the forward pass; ``attention`` keeps q, k and
+v and recomputes its weights; ``gln`` keeps ``x - mean``, ``std`` and gamma
+and rebuilds the normalized input; ``gelu_affine`` keeps its input and
+rebuilds GELU's output and slope; ``dropout`` keeps its boolean draw and
+rebuilds the float mask. ``slice_last_axis`` returns its own array,
 so a narrow slice does not keep the whole operand alive. An array that no
 VJP reads, such as a residual sum or an attention output, is freed as soon
 as the caller drops its ``Tensor``, before ``backward`` runs; one that a VJP
@@ -499,6 +508,23 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), vjp, "matmul")
 
 
+def _affine_shape(x: Tensor, w: Tensor, b: Tensor, op: str) -> tuple:
+    """The shape of ``x @ w + b``, once ``op``'s operand shapes are checked."""
+    _check_matmul(x, w, op)
+    shape = _product_shape(x.shape, w.shape)
+    if b.ndim > len(shape) or any(n not in (1, m) for n, m in
+                                  zip(b.shape[::-1], shape[::-1])):
+        raise DimensionError(f"{op}: bias {b.shape} does not broadcast to {shape}")
+    return shape
+
+
+def _affine_product(x: Array, w: Array, b: Array, out: Array | None = None) -> Array:
+    """``x @ w + b``, with ``b`` added in place to the fresh product."""
+    out = np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` as one node; bitwise equal to ``matmul(x, w) + b``.
 
@@ -508,18 +534,8 @@ def affine(x, w, b) -> Tensor:
     """
     const_x, const_w, const_b = (not isinstance(t, Tensor) for t in (x, w, b))
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _check_matmul(x, w, "affine")
-    shape = _product_shape(x.shape, w.shape)
-    if b.ndim > len(shape) or any(n not in (1, m) for n, m in
-                                  zip(b.shape[::-1], shape[::-1])):
-        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {shape}")
-
-    def product(x: Array, w: Array, b: Array, out: Array | None = None) -> Array:
-        out = np.matmul(x, w, out=out)
-        out += b
-        return out
-
-    out_data = _rowwise(product, (x.data, w.data, b.data), shape, core=2)
+    shape = _affine_shape(x, w, b, "affine")
+    out_data = _rowwise(_affine_product, (x.data, w.data, b.data), shape, core=2)
     kept_x, kept_w = None if const_w else x.data, None if const_x else w.data
     shape_x, shape_w, shape_b = x.shape, w.shape, b.shape
 
@@ -652,6 +668,29 @@ def _add_x_pdf(x: Array, cdf: Array) -> None:
             cdf[lo:lo + step] += pdf
 
 
+def _gelu_cdf(x: Array, out: Array | None = None) -> Array:
+    """GELU's ``cdf``, ``0.5 * (1 + erf(x / sqrt 2))``, in one buffer."""
+    cdf = np.asarray(np.multiply(x, _INV_SQRT2, out=out))  # a 0-d product is a scalar
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_value(x: Array, out: Array | None = None) -> Array:
+    """GELU's output ``x * cdf``, written over ``cdf``'s buffer."""
+    cdf = _gelu_cdf(x, out)
+    return np.multiply(x, cdf, out=cdf)
+
+
+def _gelu_value_and_slope(x: Array, out=(None, None)) -> tuple[Array, Array]:
+    """GELU's output and its slope ``cdf + x * pdf``."""
+    cdf = _gelu_cdf(x, out[1])
+    y = np.multiply(x, cdf, out=out[0])
+    _add_x_pdf(x, cdf)
+    return y, cdf
+
+
 def gelu(x) -> Tensor:
     """Exact (erf-based) GELU; smooth, so finite differences stay honest.
 
@@ -662,32 +701,47 @@ def gelu(x) -> Tensor:
     computed, and the output ``x * cdf`` takes ``cdf``'s buffer.
     """
     x = as_tensor(x)
-
-    def cdf_of(x: Array, out: Array | None = None) -> Array:
-        cdf = np.asarray(np.multiply(x, _INV_SQRT2, out=out))  # a 0-d product is a scalar
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        return cdf
-
-    def value(x: Array, out: Array | None = None) -> Array:
-        cdf = cdf_of(x, out)
-        return np.multiply(x, cdf, out=cdf)
-
-    def value_and_slope(x: Array, out=(None, None)) -> tuple[Array, Array]:
-        cdf = cdf_of(x, out[1])
-        y = np.multiply(x, cdf, out=out[0])
-        _add_x_pdf(x, cdf)
-        return y, cdf
-
     if getattr(_TAPE, "off", False):
-        return _node(_rowwise(value, (x.data,), x.shape), (x,), _untaped)
-    out_data, slope = _rowwise(value_and_slope, (x.data,), x.shape, x.shape)
+        return _node(_rowwise(_gelu_value, (x.data,), x.shape), (x,), _untaped)
+    out_data, slope = _rowwise(_gelu_value_and_slope, (x.data,), x.shape, x.shape)
 
     def vjp(grad: Array):
         return (_rowwise(np.multiply, (grad, slope), slope.shape),)
 
     return _node(out_data, (x,), vjp)
+
+
+def gelu_affine(h, w, b) -> Tensor:
+    """``gelu(h) @ w + b`` as one node; bitwise equal to
+    ``affine(gelu(h), w, b)``, forward and VJP.
+
+    The tape keeps ``h``, where the composite keeps GELU's slope and its
+    output: the VJP rebuilds both from ``h`` with the forward pass's ops,
+    the output for ``w``'s gradient and the slope for ``h``'s. A plain-array
+    operand gets no gradient.
+    """
+    const_h, const_w, const_b = (not isinstance(t, Tensor) for t in (h, w, b))
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    shape = _affine_shape(h, w, b, "gelu_affine")
+    hidden = _rowwise(_gelu_value, (h.data,), h.shape)
+    out_data = _rowwise(_affine_product, (hidden, w.data, b.data), shape, core=2)
+    del hidden
+    kept_h = None if const_h and const_w else h.data
+    kept_w = None if const_h else w.data
+    shape_h, shape_w, shape_b = h.shape, w.shape, b.shape
+
+    def vjp(grad: Array):
+        g_h = g_w = None
+        if kept_h is not None:
+            hidden, slope = _rowwise(_gelu_value_and_slope, (kept_h,), shape_h, shape_h)
+            g_w = _matmul_vjp(grad, None if const_w else hidden, None, shape_h, shape_w)[1]
+            del hidden
+            if kept_w is not None:
+                g_h = _matmul_vjp(grad, None, kept_w, shape_h, shape_w)[0]
+                g_h *= slope
+        return g_h, g_w, None if const_b else _unbroadcast(grad, shape_b)
+
+    return _node(out_data, (h, w, b), vjp, "gelu_affine")
 
 
 def _softmax_in_place(scaled: Array) -> Array:
@@ -847,8 +901,10 @@ def slice_last_axis(x, start: int, stop: int) -> Tensor:
 def gather_rows(table, ids: Array) -> Tensor:
     """Embedding lookup: ``table[v, d]`` indexed by an integer array of ids.
 
-    Output shape is ``ids.shape + (d,)``; the backward pass scatter-adds into
-    the table so unused rows receive exactly zero gradient.
+    Output shape is ``ids.shape + (d,)``; the backward pass sums the rows of
+    the gradient into the table, one ``np.bincount`` per column, so unused
+    rows receive exactly zero gradient. ``bincount`` adds each column's
+    values in id order from 0.0, as ``np.add.at`` would, so bitwise.
     """
     table = as_tensor(table)
     ids = np.asarray(ids)
@@ -862,8 +918,12 @@ def gather_rows(table, ids: Array) -> Tensor:
     n_rows, width = table.shape
 
     def vjp(grad: Array):
+        # Flattened here, not when taped: calendar ids are broadcast views.
+        flat = ids.reshape(-1).astype(np.intp, copy=False)  # bincount takes no uint64
+        rows = grad.reshape(flat.size, width)
         g = np.zeros((n_rows, width))
-        np.add.at(g, ids.reshape(-1), grad.reshape(ids.size, width))
+        for j in range(width):
+            g[:, j] = np.bincount(flat, weights=rows[:, j], minlength=n_rows)
         return (g,)
 
     return _node(table.data[ids], (table,), vjp)
@@ -885,6 +945,113 @@ def mean_std_last_axis(x, eps: float) -> tuple[Tensor, Tensor]:
     var = mean_last_axis(centered * centered)
     std = sqrt(var + eps)
     return mean, std
+
+
+def gln(x, gamma, beta, eps: float) -> Tensor:
+    """Guided layer norm ``gamma * (x - mean) / sqrt(var + eps) + beta`` over
+    the last axis as one node; bitwise equal, forward and VJP, to
+    ``gamma * ((x - mean) / std) + beta`` with ``mean_std_last_axis``.
+
+    It computes the composite's ops in its order, in slabs of axis 0. The
+    composite computes ``x - mean`` twice, so ``x`` gets three separate
+    gradients, from the normalizing path's ``sub``, the variance path's
+    ``sub`` and the mean's ``tsum``, in the order its reverse pass adds them.
+    The parents are ``(gamma, x, x, x, beta)``: ``backward`` then reaches
+    beta's, x's and gamma's ancestors in the composite's order, so every
+    gradient they share is summed in the composite's order too, also where
+    beta is a leaf (``no-beta``). The VJP keeps ``c = x - mean``, ``std``
+    and ``gamma`` and rebuilds the normalized input ``c / std``, where the
+    composite keeps both ``x - mean`` arrays and the normalized input.
+    ``std`` and the output are checked: any non-finite intermediate of the
+    composite makes one of them non-finite. A plain-array operand gets no
+    gradient.
+    """
+    const_x, const_g, const_b = (not isinstance(t, Tensor) for t in (x, gamma, beta))
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim == 0 or x.shape[-1] < 1:
+        raise DimensionError(f"gln: empty last axis in {x.shape}")
+    if eps <= 0:
+        raise ContractError("gln: eps must be > 0")
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.ndim > x.ndim or any(n not in (1, m) for n, m in
+                                  zip(t.shape[::-1], x.shape[::-1])):
+            raise DimensionError(f"gln: {name} {t.shape} does not broadcast to {x.shape}")
+    inv_n = 1.0 / x.shape[-1]
+
+    def normalize(x: Array, gamma: Array, beta: Array, out=(None, None, None)):
+        y, c, std = out
+        std = x.sum(axis=-1, keepdims=True, out=std)
+        std *= inv_n  # the mean
+        c = np.subtract(x, std, out=c)
+        y = np.multiply(c, c, out=y)
+        y.sum(axis=-1, keepdims=True, out=std)
+        std *= inv_n  # the variance
+        std += eps
+        with np.errstate(invalid="ignore"):
+            np.sqrt(std, out=std)
+        _quiet_div(c, std, out=y)
+        y *= gamma
+        y += beta
+        return y, c, std
+
+    operands = (x.data, gamma.data, beta.data)
+    shapes = (x.shape, x.shape, x.shape[:-1] + (1,))
+    # A 1-d input is one row: its axis 0 is the feature axis.
+    y, c, std = (normalize(*operands) if x.ndim == 1 else
+                 _rowwise(normalize, operands, *shapes))
+    _check_finite(std, "gln", (x, gamma, beta))
+    kept_gamma = None if const_x else gamma.data
+    shape_g, shape_b = gamma.shape, beta.shape
+
+    def vjp(grad: Array):
+        g_beta = None if const_b else _unbroadcast(grad, shape_b)
+        g_gamma = None
+        if not const_g:
+            g_gamma = _quiet_div(c, std)
+            g_gamma *= grad
+            g_gamma = _unbroadcast(g_gamma, shape_g)
+        if const_x:
+            return g_gamma, None, None, None, g_beta
+        # Back through the normalizing path's ``c / std``, then ``std``, the
+        # variance's mean and ``c * c``, then the mean, each in the
+        # composite's op order.
+        g_n = grad * kept_gamma
+        g_c2 = g_n / std
+        g_n = np.negative(g_n, out=g_n)
+        g_n *= c
+        g_n /= std * std
+        g_var = _unbroadcast(g_n, std.shape)
+        del g_n
+        g_var *= 0.5
+        g_var /= std
+        g_var *= inv_n
+        g_c1 = c * g_var
+        g_c1 += g_c1
+        g_mean = _unbroadcast(-g_c2, std.shape) + _unbroadcast(-g_c1, std.shape)
+        g_mean *= inv_n
+        return g_gamma, g_c2, g_c1, np.broadcast_to(g_mean, c.shape).copy(), g_beta
+
+    return _node(y, (gamma, x, x, x, beta), vjp, "gln")
+
+
+def dropout(x, kept: Array, keep: float) -> Tensor:
+    """``x * (kept / keep)`` for a boolean draw ``kept``; bitwise equal to
+    ``x * mask`` with the float mask ``kept / keep``. The VJP keeps the
+    boolean ``kept``, an eighth of the mask's bytes, and rebuilds the mask.
+    """
+    x, kept = as_tensor(x), np.asarray(kept)
+    if kept.dtype != np.bool_ or kept.shape != x.shape:
+        raise ContractError(
+            f"dropout: kept must be a boolean array of shape {x.shape}, "
+            f"got {kept.dtype} {kept.shape}")
+
+    def scaled(x: Array, kept: Array, out: Array | None = None) -> Array:
+        return np.multiply(x, kept / keep, out=out)
+
+    def vjp(grad: Array):
+        return (_rowwise(scaled, (grad, kept), grad.shape),)
+
+    return _node(_rowwise(scaled, (x.data, kept), x.shape), (x,), vjp, "dropout")
 
 
 # -- reverse pass ------------------------------------------------------------

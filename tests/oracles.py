@@ -5,7 +5,10 @@ path there: ``index_time`` for the vectorized ``embeddings.time_indices``,
 ``reference_attention`` for ``numerics.attention``, ``reference_operator``
 for ``graph.normalize_adjacency``, ``reference_forward`` for
 ``model.forward``, and ``finite_difference_gradient`` for every VJP that
-``numerics.backward`` runs.
+``numerics.backward`` runs. ``composite_gln``, ``composite_gelu_affine`` and
+``composite_dropout`` are the chains of autodiff nodes that ``numerics.gln``,
+``numerics.gelu_affine`` and ``numerics.dropout`` replace, kept as the
+references those nodes must match bitwise, in value and in every gradient.
 """
 
 from __future__ import annotations
@@ -15,8 +18,25 @@ from typing import Callable
 
 import numpy as np
 
+from conformer import numerics as nm
 from conformer.embeddings import CalendarIndexer
 from conformer.graph import GraphSpec
+
+
+def composite_gln(x, gamma, beta, eps: float) -> nm.Tensor:
+    """Guided layer norm as ``mean_std_last_axis`` and four arithmetic nodes."""
+    mean, std = nm.mean_std_last_axis(x, eps)
+    return nm.add(nm.mul(gamma, nm.div(nm.sub(x, mean), std)), beta)
+
+
+def composite_gelu_affine(h, w, b) -> nm.Tensor:
+    """A factor generator's head as a ``gelu`` node and an ``affine`` node."""
+    return nm.affine(nm.gelu(h), w, b)
+
+
+def composite_dropout(x, kept: np.ndarray, keep: float) -> nm.Tensor:
+    """Dropout as a ``mul`` by the float mask ``kept / keep``."""
+    return x * (kept / keep)
 
 
 def index_time(t: int, cal: CalendarIndexer) -> tuple[int, int]:

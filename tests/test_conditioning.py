@@ -102,19 +102,18 @@ class TestGenerateFactors:
         # generator's head, read by no VJP, dies with generate_factors.
         rng = np.random.default_rng(6)
         gen = make_generator(rng, in_width=6, d_model=4, zero_head=False)
-        affine, outputs = nm.affine, []
+        head, outputs = nm.gelu_affine, []
 
-        def recording_affine(*args):
-            out = affine(*args)
+        def recording_head(*args):
+            out = head(*args)
             outputs.append(weakref.ref(out.data))
             return out
 
-        monkeypatch.setattr(nm, "affine", recording_affine)
+        monkeypatch.setattr(nm, "gelu_affine", recording_head)
         x_c = nm.Tensor(rng.normal(size=(2, 3, 6)))
         f = generate_factors(x_c, gen, "g")
-        raw = outputs[-1]
-        assert len(outputs) == 2 and f.alpha.shape == (2, 3, 1)
-        assert raw() is None
+        assert len(outputs) == 1 and f.alpha.shape == (2, 3, 1)
+        assert outputs[0]() is None
         grads = nm.backward(nm.tsum(f.gamma * f.beta * f.alpha), gen)
         assert all(np.abs(g).max() > 0 for g in grads.values())
 

@@ -16,8 +16,10 @@ from conformer.graph import GraphSpec
 from conformer.model import (ABLATIONS, ConFormerConfig, ConFormerParams, config_from_dict,
                              count_params, estimate_flops, forward, init_params,
                              load_checkpoint, param_spec, readout, save_checkpoint)
-from conformer.trainer import TrainConfig
-from oracles import reference_forward
+from conformer.trainer import TrainConfig, masked_mae_loss
+import test_golden as golden
+from oracles import (composite_dropout, composite_gelu_affine, composite_gln,
+                     reference_forward)
 
 
 def tiny_cfg(**kw):
@@ -339,6 +341,38 @@ def test_backward_matches_reference_gradient(force_split, split, data, batch):
     h = 2.5e-4
     difference = (loss_at(-2 * h) - 8 * loss_at(-h) + 8 * loss_at(h) - loss_at(2 * h)) / (12 * h)
     assert nm.relative_error(along_u, difference) <= 1e-8
+
+
+@pytest.mark.parametrize("split", ["1-thread", "every-op-over-3"])
+@pytest.mark.parametrize("ablation", ["", "plain-ln", "no-gamma", "no-beta", "no-alpha"])
+def test_fused_nodes_match_the_composites_they_replace(monkeypatch, threads, force_split,
+                                                       split, ablation):
+    """One masked-MAE step under dropout gives the same forward and gradient
+    bytes with GLN, each generator head and dropout as one node
+    (``nm.gln``, ``nm.gelu_affine``, ``nm.dropout``) as with the composites
+    they replaced."""
+    if split == "1-thread":
+        threads(1)
+    else:
+        force_split(3)
+    cfg = golden.model_config(ablations=(ablation,) if ablation else ())
+    rng = np.random.default_rng(3)
+    target = 50.0 + 10.0 * rng.normal(size=(3, cfg.t_out, cfg.n_nodes, 1))
+    target[0, 1, 2] = 0.0
+
+    def step():
+        params = golden.perturbed_params(cfg)
+        pred = forward(*golden.model_inputs(cfg), params, cfg,
+                       dropout_rng=np.random.default_rng(4))
+        loss = masked_mae_loss(pred, target, NormalizationStats(50.0, 10.0))
+        grads = nm.backward(loss, dict(params.entries()))
+        return pred.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+    fused = step()
+    for name, composite in (("gln", composite_gln), ("gelu_affine", composite_gelu_affine),
+                            ("dropout", composite_dropout)):
+        monkeypatch.setattr(nm, name, composite)
+    assert step() == fused
 
 
 class TestCounting:

@@ -16,7 +16,8 @@ from scipy.special import erf
 
 from conformer import numerics as nm
 from conformer.errors import ContractError, DimensionError, NumericsError
-from oracles import finite_difference_gradient
+from oracles import (composite_dropout, composite_gelu_affine, composite_gln,
+                     finite_difference_gradient)
 
 
 def rel_err(a, b):
@@ -176,9 +177,8 @@ class TestGelu:
         assert vjp(np.ones(shape))[0].shape == shape
 
 
-_EXTREME = arrays(np.float64, array_shapes(max_dims=2, max_side=8),
-                  elements=st.one_of(st.sampled_from([-1e308, 0.0, 1e308]),
-                                     st.floats(-1e308, 1e308)))
+_EXTREME_FLOATS = st.one_of(st.sampled_from([-1e308, 0.0, 1e308]), st.floats(-1e308, 1e308))
+_EXTREME = arrays(np.float64, array_shapes(max_dims=2, max_side=8), elements=_EXTREME_FLOATS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,6 +205,151 @@ def test_gelu_gradient_of_finite_input_is_finite_and_quiet(x):
     big = np.abs(x) > 1e155
     cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     assert np.array_equal(grad[big], cdf[big] * scale)
+
+
+def _value_and_gradients(fn, operands, consts=()):
+    """The output bytes of ``fn(*operands)`` and the gradient bytes of each
+    operand not in ``consts`` (those go in as plain arrays), for one random
+    cotangent."""
+    tensors = {f"x{i}": nm.Tensor(a) for i, a in enumerate(operands) if i not in consts}
+    out = fn(*(tensors.get(f"x{i}", a) for i, a in enumerate(operands)))
+    cotangent = np.random.default_rng(0).normal(size=out.shape)
+    grads = nm.backward(nm.tsum(out * cotangent), tensors)
+    return out.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+
+_SPLITS = ["1-thread", "every-op-over-2", "every-op-over-3"]
+
+
+def _use_split(split, threads, force_split):
+    if split == "1-thread":
+        threads(1)
+    else:
+        force_split(int(split[-1]))
+
+
+class TestFusedNodes:
+    """``gln``, ``gelu_affine`` and ``dropout`` against the composites they
+    replace in the model: the same bytes in value and in every gradient, at
+    1 thread and with every op split."""
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 6), (3, 4, 6), (3, 4, 6)),  # generated factors
+        ((3, 4, 6), (6,), (6,)),            # plain-ln's parameters
+        ((3, 4, 6), (3, 4, 6), (6,)),
+        ((5, 1), (1,), (5, 1)),             # one feature
+        ((6,), (6,), (6,)),                 # one row
+    ])
+    @pytest.mark.parametrize("consts", [(), (1, 2), (0,)], ids=["all", "const-factors", "const-x"])
+    def test_gln(self, threads, force_split, split, shapes, consts):
+        _use_split(split, threads, force_split)
+        rng = np.random.default_rng(30)
+        x, gamma, beta = (rng.normal(1.0, 2.0, size=shape) for shape in shapes)
+        fused, composite = (_value_and_gradients(lambda *t: fn(*t, 1e-5), (x, gamma, beta),
+                                                 consts)
+                            for fn in (nm.gln, composite_gln))
+        assert fused == composite
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("consts", [(), (0,), (1,), (2,), (0, 1)])
+    def test_gelu_affine(self, threads, force_split, split, consts):
+        _use_split(split, threads, force_split)
+        rng = np.random.default_rng(31)
+        operands = (rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 7)), rng.normal(size=7))
+        assert (_value_and_gradients(nm.gelu_affine, operands, consts)
+                == _value_and_gradients(composite_gelu_affine, operands, consts))
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_dropout(self, threads, force_split, split):
+        _use_split(split, threads, force_split)
+        rng = np.random.default_rng(32)
+        x, keep = rng.normal(size=(3, 4, 5)), 0.9
+        kept = rng.random(x.shape) < keep
+        assert (_value_and_gradients(lambda t: nm.dropout(t, kept, keep), (x,))
+                == _value_and_gradients(lambda t: composite_dropout(t, kept, keep), (x,)))
+
+    def test_tape_keeps_less_than_the_composite(self):
+        # GLN keeps ``x - mean``, std and gamma, not both ``x - mean`` arrays
+        # and the normalized input; a generator head keeps its input, not
+        # GELU's slope and output; dropout keeps a boolean draw, not a float
+        # mask. Operands are made before tracing: only what the tape adds
+        # counts. Shapes are the criterion-8 step's.
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(64, 12, 30, 32))
+        gamma, beta = rng.normal(size=x.shape), rng.normal(size=x.shape)
+        kept = rng.random(x.shape) < 0.9
+        w, b = rng.normal(size=(32, 65)), rng.normal(size=65)
+        cases = {"gln": (lambda *t: nm.gln(*t, 1e-5), lambda *t: composite_gln(*t, 1e-5),
+                         (x, gamma, beta), 2),
+                 "gelu_affine": (nm.gelu_affine, composite_gelu_affine, (x, w, b), 2),
+                 "dropout": (lambda t: nm.dropout(t, kept, 0.9),
+                             lambda t: composite_dropout(t, kept, 0.9), (x,), 7 / 8)}
+        for name, (node, composite, operands, saved) in cases.items():
+            held = []
+            for fn in (node, composite):
+                tensors = [nm.Tensor(a) for a in operands]
+                tracemalloc.start()
+                try:
+                    record = fn(*tensors)._record  # the output array is dropped
+                    held.append(tracemalloc.get_traced_memory()[0])
+                finally:
+                    tracemalloc.stop()
+                del record, tensors
+            assert held[1] - held[0] >= saved * x.nbytes, (name, held)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_EXTREME, data=st.data())
+@example(x=np.array([[1e308, -1e308]]), data=None)  # only ``std`` is non-finite
+def test_gln_raises_where_its_composite_raises(x, data):
+    """Where ``composite_gln`` raises ``NumericsError``, so does ``nm.gln``,
+    which checks only ``std`` and its output; elsewhere both give the same
+    bytes."""
+    width = x.shape[-1:]
+    if data is None:
+        gamma, beta = np.ones(width), np.zeros(width)
+    else:
+        gamma, beta = (data.draw(arrays(np.float64, width, elements=_EXTREME_FLOATS),
+                                 label=name) for name in ("gamma", "beta"))
+    outcomes = []
+    for fn in (nm.gln, composite_gln):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes.append(fn(nm.Tensor(x), nm.Tensor(gamma), nm.Tensor(beta),
+                                   1e-5).data.tobytes())
+        except NumericsError:
+            outcomes.append(NumericsError)
+    assert outcomes[0] == outcomes[1]
+
+
+def _add_at_reference(n_rows: int, ids: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``gather_rows``' table gradient as ``np.add.at`` scatter-adds it."""
+    width = grad.shape[-1]
+    g = np.zeros((n_rows, width))
+    np.add.at(g, ids.reshape(-1), grad.reshape(ids.size, width))
+    return g
+
+
+@pytest.mark.parametrize("n_rows", [288, 7, 3, 2])
+def test_gather_rows_gradient_matches_add_at(n_rows):
+    # Repeated ids, a row no id uses, a column of -0.0 and a row reached
+    # only by -0.0: the sums and every zero's sign are ``np.add.at``'s.
+    rng = np.random.default_rng(n_rows)
+    ids = rng.integers(1, n_rows, size=(64, 12, 30))
+    ids[0, 0, :3] = 0
+    grad = rng.normal(size=ids.shape + (8,))
+    grad[..., 0] = -0.0
+    grad[0, 0, :3] = -0.0
+    for lookup in (ids, ids.astype(np.uint16)):
+        vjp = nm.gather_rows(nm.Tensor(rng.normal(size=(n_rows, 8))), lookup)._vjp
+        assert vjp(grad)[0].tobytes() == _add_at_reference(n_rows, ids, grad).tobytes()
+
+
+def test_gather_rows_gradient_of_zero_width():
+    ids = np.array([[0, 2], [2, 2]])
+    vjp = nm.gather_rows(nm.Tensor(np.zeros((3, 0))), ids)._vjp
+    assert vjp(np.zeros((2, 2, 0)))[0].shape == (3, 0)
 
 
 class TestMeanStd:
