@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,29 @@ def modulated_residual(x_in: nm.Tensor, branch_out: nm.Tensor,
 
 
 def _normalize_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    mean, std = nm.mean_std_last_axis(nm.Tensor(x), eps)
-    return (x - mean.data) / std.data
+    """``(x - mean) / sqrt(var + eps)`` per row, with the population variance,
+    in the op order of ``nm.gln``'s composite."""
+    inv_n = 1.0 / x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) * inv_n
+    centered = x - mean
+    return centered / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
 
 
 def _modulated_rows(q, k, gamma, beta, eps: float):
-    """``gamma * N_Q``, ``gamma * N_K`` and ``beta`` as float64 rows, with the
-    feature widths of q, k and gamma checked."""
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    k = np.atleast_2d(np.asarray(k, dtype=np.float64))
+    """``gamma * N_Q``, ``gamma * N_K`` and ``beta`` as float64 rows, with q
+    and k checked finite, their feature widths and gamma's equal and nonzero,
+    and ``eps > 0``."""
+    q, k = (np.atleast_2d(nm.Tensor(t).data) for t in (q, k))
     gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     if q.shape[-1] != k.shape[-1] or q.shape[-1] != gamma.shape[0]:
         raise DimensionError(
             f"q/k/gamma feature widths differ: {q.shape[-1]}, {k.shape[-1]}, "
             f"{gamma.shape[0]}")
+    if not gamma.size:
+        raise DimensionError(f"expanded scores: empty feature axis in {q.shape}")
+    if eps <= 0:
+        raise ContractError(f"expanded scores: eps must be > 0, got {eps}")
     return gamma * _normalize_rows(q, eps), gamma * _normalize_rows(k, eps), beta
 
 

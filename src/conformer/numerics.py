@@ -1,82 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every primitive records its parents and a vector-Jacobian product, so any
-scalar built from Tensor ops can be differentiated with ``backward``.
-Values are checked for NaN/Inf after every arithmetic primitive; a
-non-finite result raises ``NumericsError`` instead of propagating silently.
-A primitive skips the check when its output cannot be non-finite: the
-structural ones (``reshape``, ``transpose``/``moveaxis``, ``slice_last_axis``,
-``concat_last_axis``, ``gather_rows`` and ``broadcast_to``) only rearrange
-values of tensors already checked, ``softmax_last_axis`` maps finite
-input into [0, 1], and ``gelu`` and ``absolute`` give at most ``|x|`` in
-magnitude.
-
-``affine(x, w, b)`` is ``x @ w + b`` as one node: one output array on the
-tape instead of two, with the gradients of the matmul-plus-add composite.
-Three more nodes each replace a composite of the model, bitwise in value and
-in every gradient, and keep less on the tape than it did: ``gln(x, gamma,
-beta, eps)``, guided layer norm, in place of ``mean_std_last_axis`` and four
-arithmetic nodes; ``gelu_affine(h, w, b)``, a factor generator's head, in
-place of ``affine(gelu(h), w, b)``; and ``dropout(x, kept, keep)`` in place
-of ``x * (kept / keep)``.
-
-``attention(q, k, v, n_heads, axis)`` is multi-head softmax attention over
-the node or the time axis as one node, bitwise equal to the chain of head
-split, ``matmul``, ``softmax_last_axis``, ``matmul`` and head merge. The
-scores are scaled and softmaxed in their own buffer, so a call holds one
-``[.., L, L]`` array per head at peak, and the tape holds none: the VJP
-recomputes the weights from q and k. Its weights, a softmax of checked
-scores, lie in [0, 1] and are not checked. ``softmax_last_axis`` and
-``gelu`` likewise work in one buffer per pass.
-
-An operand passed as a plain array or Python scalar can never be a
-parameter, so the arithmetic primitives, ``matmul``, ``affine``,
-``gelu_affine``, ``gln`` and ``attention`` give it no gradient (``None`` in
-its VJP slot) instead of a full-size product or reduction.
-
-A ``Tensor`` is its array and a tape record: the records of its parents, its
-VJP and its shape, and no array. A VJP keeps only the arrays it reads, never
-a ``Tensor``: ``add``, ``sub``, ``tsum`` and the structural primitives keep
-no operand, ``mul``, ``div``, ``matmul`` and ``affine`` keep an operand only
-while the other one's gradient is wanted, so a product with a constant keeps
-the constant alone. A VJP rebuilds what is cheap to: ``gelu`` keeps one
-array, its slope, computed in the forward pass; ``attention`` keeps q, k and
-v and recomputes its weights; ``gln`` keeps ``x - mean``, ``std`` and gamma
-and rebuilds the normalized input; ``gelu_affine`` keeps its input and
-rebuilds GELU's output and slope; ``dropout`` keeps its boolean draw and
-rebuilds the float mask. ``slice_last_axis`` returns its own array,
-so a narrow slice does not keep the whole operand alive. An array that no
-VJP reads, such as a residual sum or an attention output, is freed as soon
-as the caller drops its ``Tensor``, before ``backward`` runs; one that a VJP
-reads lives until ``backward`` has run it.
-
-``backward`` walks the records. It runs a node's VJP once a gradient has
-reached it, and keeps a parent's gradient only when the parent is an interior
-node or a requested parameter. It drops each interior gradient once its
-node's VJP has used it, and consumes the tape as it walks: a visited record
-loses its parents and its VJP, so each forward array is freed after the last
-VJP that reads it. A node with a VJP slot but no parents, consumed by an
-earlier ``backward`` or built under ``no_tape``, cannot be differentiated
-through: ``backward`` raises ``ContractError`` on meeting one.
-
-Inside ``with no_tape():`` (per thread) a node keeps its data and its
-finiteness check but gets no parents, and a stub that raises stands in for
-its VJP, so each intermediate is freed as soon as Python drops it.
-Inference runs this way.
-
-Large batched ops split over ``CONFORMER_THREADS`` threads, by default the
-CPUs this process may use; the value is read, and the workers started, once
-per process (``thread_count``). ``_rowwise`` cuts an op's axis 0, the batch
-of windows, into contiguous slabs; the calling thread computes the first and
-worker threads the others, each into its slab of one preallocated
-C-contiguous output. An op splits only where numpy would lay the whole
-result out in C order, so every byte and every layout, which fixes the
-summation order of reductions downstream, is the whole op's. Sums over axis
-0 stay whole, as do the rows of a 2-D product and any value of one row or
-under ``_SPLIT_FLOOR`` elements. A worker runs its slab in a copy of the
-caller's context, so under the caller's ``np.errstate`` (a context variable
-from numpy 2 on, the version this package requires), and the first slab to
-raise raises in the caller.
+A ``Tensor`` is an array and a tape record (``_Record``). Each primitive makes
+its output with ``_node``, which checks it for NaN/Inf (``NumericsError``) and
+records the primitive's VJP; ``backward`` walks the records, and ``no_tape``
+records nothing, for inference. Large batched ops split over threads
+(``_rowwise``) with every byte of the whole op. Fused nodes (``affine``,
+``gelu_affine``, ``attention``, ``gln``, ``dropout``) replace composites of
+the model, bitwise in value and in every gradient, and keep less on the tape.
 """
 
 from __future__ import annotations
@@ -180,7 +110,8 @@ def _slab_count(rows: int, size: int) -> int:
 def _over_slabs(work: Callable[[slice], object], rows: int, k: int) -> list:
     """``work(slice(lo, hi))`` for ``k`` contiguous slabs of ``rows`` rows,
     the first in this thread; the results in slab order. A worker runs its
-    slab in a copy of this thread's context, so under its ``np.errstate``.
+    slab in a copy of this thread's context, so under its ``np.errstate``, a
+    context variable from numpy 2 on, the version this package requires.
     Once every slab has ended, the first to raise, in slab order, raises
     here."""
     bounds = [rows * i // k for i in range(k + 1)]
@@ -281,7 +212,9 @@ _TAPE = threading.local()
 
 @contextmanager
 def no_tape() -> Iterator[None]:
-    """Build nodes without parents or VJPs in this thread, for inference."""
+    """Build nodes without parents in this thread, for inference: a node keeps
+    its data and its finiteness check, and a stub that raises stands in for its
+    VJP, so each intermediate is freed as soon as Python drops it."""
     was_off = getattr(_TAPE, "off", False)
     _TAPE.off = True
     try:
@@ -297,7 +230,8 @@ def _untaped(grad: Array):
 class _Record:
     """A node's place on the tape: its parents' records, the ``vjp`` callback
     mapping its output gradient to per-parent gradients, and its shape. It
-    holds no array; the callback holds only the arrays it reads."""
+    holds no array, and the callback only the arrays it reads: an output that
+    no VJP reads is freed when its ``Tensor`` is dropped, before ``backward``."""
 
     __slots__ = ("_parents", "_vjp", "shape")
 
@@ -374,7 +308,8 @@ def _node(data, parents: tuple, vjp: Callable, op: str | None = None) -> Tensor:
 
     A named ``op`` is checked for finiteness. ``op=None`` skips the check, for
     a structural primitive, which only rearranges values of finite parents,
-    or for one whose output from finite input is finite.
+    or for one whose output from finite input is finite: ``softmax_last_axis``
+    lies in [0, 1], and ``gelu`` and ``absolute`` are at most ``|x|``.
     """
     node = Tensor.__new__(Tensor)
     # A full ``tsum`` returns a numpy scalar; the node holds a 0-d array.
@@ -404,6 +339,13 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         if x != y and x != 1 and y != 1:
             return False
     return True
+
+
+def _check_fits(op: str, name: str, shape: tuple, target: tuple) -> None:
+    """Raise ``DimensionError`` unless ``shape`` broadcasts to ``target`` without growing it."""
+    if len(shape) > len(target) or any(n not in (1, m) for n, m in
+                                       zip(shape[::-1], target[::-1])):
+        raise DimensionError(f"{op}: {name} {shape} does not broadcast to {target}")
 
 
 def _binary(a, b, op: str, fwd, vjp_a, vjp_b, reads=((), ())) -> Tensor:
@@ -512,9 +454,7 @@ def _affine_shape(x: Tensor, w: Tensor, b: Tensor, op: str) -> tuple:
     """The shape of ``x @ w + b``, once ``op``'s operand shapes are checked."""
     _check_matmul(x, w, op)
     shape = _product_shape(x.shape, w.shape)
-    if b.ndim > len(shape) or any(n not in (1, m) for n, m in
-                                  zip(b.shape[::-1], shape[::-1])):
-        raise DimensionError(f"{op}: bias {b.shape} does not broadcast to {shape}")
+    _check_fits(op, "bias", b.shape, shape)
     return shape
 
 
@@ -589,8 +529,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape)
-    if not _broadcastable(x.shape, shape):
-        raise DimensionError(f"cannot broadcast {x.shape} to {shape}")
+    _check_fits("broadcast_to", "input", x.shape, shape)
     old = x.shape
 
     def vjp(grad: Array):
@@ -604,26 +543,14 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = x.shape
 
     def vjp(grad: Array):
-        if axis is None:
-            return (np.broadcast_to(grad, in_shape).copy(),)
-        g = grad if keepdims else np.expand_dims(grad, axis)
+        g = grad if keepdims or axis is None else np.expand_dims(grad, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    if x.ndim > 1 and axis in (-1, x.ndim - 1):  # per row: splits over axis 0
-        data = _rowwise(lambda x, out=None: x.sum(axis=-1, keepdims=keepdims, out=out),
-                        (x.data,), x.shape[:-1] + (1,) * keepdims)
-    else:
-        try:
-            data = x.data.sum(axis=axis, keepdims=keepdims)
-        except ValueError as exc:  # numpy's AxisError is one too
-            raise DimensionError(f"tsum: axis {axis} out of range for {x.shape}") from exc
+    try:
+        data = x.data.sum(axis=axis, keepdims=keepdims)
+    except ValueError as exc:  # numpy's AxisError is one too
+        raise DimensionError(f"tsum: axis {axis} out of range for {x.shape}") from exc
     return _node(data, (x,), vjp, "sum")
-
-
-def mean_last_axis(x) -> Tensor:
-    x = as_tensor(x)
-    n = x.shape[-1]
-    return tsum(x, axis=-1, keepdims=True) * (1.0 / n)
 
 
 def sqrt(x) -> Tensor:
@@ -694,11 +621,9 @@ def _gelu_value_and_slope(x: Array, out=(None, None)) -> tuple[Array, Array]:
 def gelu(x) -> Tensor:
     """Exact (erf-based) GELU; smooth, so finite differences stay honest.
 
-    The forward pass works in one buffer, ``cdf``, with the op order of
-    ``0.5 * (1 + erf(x / sqrt 2))``. When taped, it then turns that buffer
-    into the slope ``cdf + x * pdf`` (``_add_x_pdf``), the one array the VJP
-    keeps: the gradient is ``grad * slope``. Under ``no_tape`` no slope is
-    computed, and the output ``x * cdf`` takes ``cdf``'s buffer.
+    When taped, the forward pass turns its ``cdf`` buffer into the slope
+    (``_add_x_pdf``), the one array the VJP keeps; under ``no_tape`` no slope
+    is computed, and the output takes ``cdf``'s buffer.
     """
     x = as_tensor(x)
     if getattr(_TAPE, "off", False):
@@ -883,9 +808,9 @@ def concat_last_axis(parts: Iterable) -> Tensor:
 
 def slice_last_axis(x, start: int, stop: int) -> Tensor:
     x = as_tensor(x)
-    if not (0 <= start <= stop <= x.shape[-1]):
+    if x.ndim == 0 or not 0 <= start <= stop <= x.shape[-1]:
         raise DimensionError(
-            f"slice_last_axis: [{start}:{stop}] out of range for width {x.shape[-1]}")
+            f"slice_last_axis: [{start}:{stop}] out of range for shape {x.shape}")
     in_shape = x.shape
 
     def vjp(grad: Array):
@@ -929,31 +854,13 @@ def gather_rows(table, ids: Array) -> Tensor:
     return _node(table.data[ids], (table,), vjp)
 
 
-def mean_std_last_axis(x, eps: float) -> tuple[Tensor, Tensor]:
-    """Per-slice mean and std over the last axis.
-
-    Uses population (biased) variance; ``std = sqrt(var + eps)`` so it is
-    strictly positive even on constant slices.
-    """
-    x = as_tensor(x)
-    if x.ndim == 0 or x.shape[-1] < 1:
-        raise DimensionError(f"mean_std_last_axis: empty last axis in {x.shape}")
-    if eps <= 0:
-        raise ContractError("mean_std_last_axis: eps must be > 0")
-    mean = mean_last_axis(x)
-    centered = x - mean
-    var = mean_last_axis(centered * centered)
-    std = sqrt(var + eps)
-    return mean, std
-
-
 def gln(x, gamma, beta, eps: float) -> Tensor:
     """Guided layer norm ``gamma * (x - mean) / sqrt(var + eps) + beta`` over
-    the last axis as one node; bitwise equal, forward and VJP, to
-    ``gamma * ((x - mean) / std) + beta`` with ``mean_std_last_axis``.
+    the last axis as one node; bitwise equal, forward and VJP, to its
+    composite of ``tsum``, ``mul``, ``sub``, ``add``, ``sqrt`` and ``div``
+    nodes, whose ops it computes in their order, in slabs of axis 0.
 
-    It computes the composite's ops in its order, in slabs of axis 0. The
-    composite computes ``x - mean`` twice, so ``x`` gets three separate
+    The composite computes ``x - mean`` twice, so ``x`` gets three separate
     gradients, from the normalizing path's ``sub``, the variance path's
     ``sub`` and the mean's ``tsum``, in the order its reverse pass adds them.
     The parents are ``(gamma, x, x, x, beta)``: ``backward`` then reaches
@@ -972,10 +879,8 @@ def gln(x, gamma, beta, eps: float) -> Tensor:
         raise DimensionError(f"gln: empty last axis in {x.shape}")
     if eps <= 0:
         raise ContractError("gln: eps must be > 0")
-    for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.ndim > x.ndim or any(n not in (1, m) for n, m in
-                                  zip(t.shape[::-1], x.shape[::-1])):
-            raise DimensionError(f"gln: {name} {t.shape} does not broadcast to {x.shape}")
+    _check_fits("gln", "gamma", gamma.shape, x.shape)
+    _check_fits("gln", "beta", beta.shape, x.shape)
     inv_n = 1.0 / x.shape[-1]
 
     def normalize(x: Array, gamma: Array, beta: Array, out=(None, None, None)):

@@ -9,6 +9,8 @@ for ``graph.normalize_adjacency``, ``reference_forward`` for
 ``composite_dropout`` are the chains of autodiff nodes that ``numerics.gln``,
 ``numerics.gelu_affine`` and ``numerics.dropout`` replace, kept as the
 references those nodes must match bitwise, in value and in every gradient.
+``mean_std_last_axis`` is the taped mean and std that ``composite_gln`` builds
+on, and the reference whose op order ``conditioning._normalize_rows`` keeps.
 """
 
 from __future__ import annotations
@@ -20,12 +22,32 @@ import numpy as np
 
 from conformer import numerics as nm
 from conformer.embeddings import CalendarIndexer
+from conformer.errors import ContractError, DimensionError
 from conformer.graph import GraphSpec
+
+
+def mean_std_last_axis(x, eps: float) -> tuple[nm.Tensor, nm.Tensor]:
+    """Per-slice mean and std over the last axis, as autodiff nodes.
+
+    Uses population (biased) variance; ``std = sqrt(var + eps)`` so it is
+    strictly positive even on constant slices.
+    """
+    x = nm.as_tensor(x)
+    if x.ndim == 0 or x.shape[-1] < 1:
+        raise DimensionError(f"mean_std_last_axis: empty last axis in {x.shape}")
+    if eps <= 0:
+        raise ContractError("mean_std_last_axis: eps must be > 0")
+    inv_n = 1.0 / x.shape[-1]
+    mean = nm.tsum(x, axis=-1, keepdims=True) * inv_n
+    centered = x - mean
+    var = nm.tsum(centered * centered, axis=-1, keepdims=True) * inv_n
+    std = nm.sqrt(var + eps)
+    return mean, std
 
 
 def composite_gln(x, gamma, beta, eps: float) -> nm.Tensor:
     """Guided layer norm as ``mean_std_last_axis`` and four arithmetic nodes."""
-    mean, std = nm.mean_std_last_axis(x, eps)
+    mean, std = mean_std_last_axis(x, eps)
     return nm.add(nm.mul(gamma, nm.div(nm.sub(x, mean), std)), beta)
 
 

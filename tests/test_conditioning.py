@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conformer import numerics as nm
-from conformer.conditioning import (ConditionFactors, expanded_score_identity,
-                                    expanded_score_terms, generate_factors, gln,
-                                    modulated_residual)
-from conformer.errors import DimensionError
+from conformer.conditioning import (ConditionFactors, _normalize_rows,
+                                    expanded_score_identity, expanded_score_terms,
+                                    generate_factors, gln, modulated_residual)
+from conformer.errors import ContractError, DimensionError, NumericsError
 from conformer.graph import GraphSpec, normalize_adjacency, propagate
+from oracles import mean_std_last_axis
 
 
 def make_generator(rng, in_width, d_model, zero_head=True):
@@ -193,7 +194,6 @@ class TestExpandedScoreIdentity:
         q, k = rng.normal(size=(4, 6)), rng.normal(size=(5, 6))
         gamma, beta = np.ones(6), np.zeros(6)
         lhs, rhs = expanded_score_identity(q, k, gamma, beta)
-        from conformer.conditioning import _normalize_rows
         plain = _normalize_rows(q, 1e-12) @ _normalize_rows(k, 1e-12).T
         assert np.abs(lhs - plain).max() <= 1e-12
         assert np.abs(rhs - plain).max() <= 1e-12
@@ -231,3 +231,23 @@ class TestExpandedScoreIdentity:
         q = k = np.ones((2, 3))
         with pytest.raises(DimensionError, match="q/k/gamma feature widths differ: 3, 3, 4"):
             fn(q, k, np.ones(4), np.zeros(4))
+
+    @pytest.mark.parametrize("fn", [expanded_score_identity, expanded_score_terms])
+    def test_bad_rows_or_eps_are_refused(self, fn):
+        with pytest.raises(NumericsError, match="'tensor'"):
+            fn(np.array([[np.nan, 1.0]]), np.ones((2, 2)), np.ones(2), np.zeros(2))
+        with pytest.raises(DimensionError, match=r"empty feature axis in \(2, 0\)"):
+            fn(np.ones((2, 0)), np.ones((2, 0)), np.ones(0), np.zeros(0))
+        with pytest.raises(ContractError, match="eps must be > 0, got 0.0"):
+            fn(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), np.zeros(2), eps=0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 17])
+@pytest.mark.parametrize("width", [1, 2, 6, 33])
+def test_normalize_rows_is_the_taped_composite_bitwise(rows, width):
+    """The plain-numpy rows of the score identity keep the op order of the
+    taped mean and std that ``nm.gln`` is held to."""
+    x = np.random.default_rng(rows * 100 + width).normal(3.0, 2.0, size=(rows, width))
+    mean, std = mean_std_last_axis(nm.Tensor(x), 1e-5)
+    expected = ((nm.Tensor(x) - mean) / std).data
+    assert _normalize_rows(x, 1e-5).tobytes() == expected.tobytes()

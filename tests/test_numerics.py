@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import signal
@@ -17,7 +18,8 @@ from scipy.special import erf
 from conformer import numerics as nm
 from conformer.errors import ContractError, DimensionError, NumericsError
 from oracles import (composite_dropout, composite_gelu_affine, composite_gln,
-                     finite_difference_gradient)
+                     finite_difference_gradient, mean_std_last_axis)
+from test_layertrace import ROOT, load_layertrace
 
 
 def rel_err(a, b):
@@ -353,24 +355,26 @@ def test_gather_rows_gradient_of_zero_width():
 
 
 class TestMeanStd:
+    """The taped mean and std that ``composite_gln`` builds on."""
+
     def test_hand_example(self):
-        mean, std = nm.mean_std_last_axis(nm.Tensor([1.0, 2.0, 3.0, 4.0]), eps=1e-300)
+        mean, std = mean_std_last_axis(nm.Tensor([1.0, 2.0, 3.0, 4.0]), eps=1e-300)
         assert np.allclose(mean.data, 2.5)
         assert np.allclose(std.data, np.sqrt(1.25))
 
     def test_constant_vector(self):
-        mean, std = nm.mean_std_last_axis(nm.Tensor([3.0, 3.0, 3.0]), eps=1e-5)
+        mean, std = mean_std_last_axis(nm.Tensor([3.0, 3.0, 3.0]), eps=1e-5)
         assert np.allclose(mean.data, 3.0)
         assert np.allclose(std.data, np.sqrt(1e-5))
 
     def test_single_element(self):
-        mean, std = nm.mean_std_last_axis(nm.Tensor([7.0]), eps=1e-5)
+        mean, std = mean_std_last_axis(nm.Tensor([7.0]), eps=1e-5)
         assert np.allclose(mean.data, 7.0)
         assert np.allclose(std.data, np.sqrt(1e-5))
 
     def test_bad_eps(self):
         with pytest.raises(ContractError):
-            nm.mean_std_last_axis(nm.Tensor([1.0]), eps=0.0)
+            mean_std_last_axis(nm.Tensor([1.0]), eps=0.0)
 
 
 class TestConcatSlice:
@@ -419,6 +423,12 @@ _BAD_STRUCTURAL_CALLS = {  # case: (input shape, call, error, message)
                   r"tsum: axis 2 out of range for \(2, 3\)"),
     "concat-0d": ((2, 3), lambda x: nm.concat_last_axis([x, nm.Tensor(1.0)]), DimensionError,
                   r"concat_last_axis: a 0-d part .* \[\(2, 3\), \(\)\]"),
+    "broadcast-shrinks": ((3,), lambda x: nm.broadcast_to(x, (1,)), DimensionError,
+                          r"broadcast_to: input \(3,\) does not broadcast to \(1,\)"),
+    "broadcast-drops-axis": ((2, 3), lambda x: nm.broadcast_to(x, (3,)), DimensionError,
+                             r"broadcast_to: input \(2, 3\) does not broadcast to \(3,\)"),
+    "slice-0d": ((), lambda x: nm.slice_last_axis(x, 0, 1), DimensionError,
+                 r"slice_last_axis: \[0:1\] out of range for shape \(\)"),
 }
 
 
@@ -817,8 +827,8 @@ class TestPrimitiveGradients:
     def test_mean_std(self):
         rng = np.random.default_rng(19)
         a = rng.uniform(-5, 5, size=(3, 6))
-        _fd_check(lambda x: nm.mean_std_last_axis(x, 1e-5)[0], [a], seed=16)
-        _fd_check(lambda x: nm.mean_std_last_axis(x, 1e-5)[1], [a], seed=17)
+        _fd_check(lambda x: mean_std_last_axis(x, 1e-5)[0], [a], seed=16)
+        _fd_check(lambda x: mean_std_last_axis(x, 1e-5)[1], [a], seed=17)
 
 
 class TestFiniteGuard:
@@ -967,3 +977,24 @@ class TestSplit:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers) and wrong == []
+
+
+def test_every_public_name_has_a_reader():
+    """No dead exports: each public function or class of ``numerics`` is read
+    by another package module or by ``perfbench/``, whose tracer patches the
+    primitives it names in ``PRIMITIVES``. ``Tensor``'s operators read
+    ``add``, ``sub``, ``mul`` and ``div``."""
+    src = ROOT / "src" / "conformer"
+    tree = ast.parse((src / "numerics.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"}
+    read = {"add", "sub", "mul", "div"} | set(load_layertrace().PRIMITIVES)
+    for path in [*src.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "nm":
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numerics":
+                read |= {alias.name for alias in node.names}
+    assert public - read == set()
